@@ -9,7 +9,9 @@
 //! instead of `B`); `sttsv_sym_par` scales with threads on multi-core
 //! hosts while staying bit-identical across thread counts; the compiled
 //! `RankPlan` arena kernel is no slower than `OwnedBlocks::compute` while
-//! running allocation-free.
+//! running allocation-free. The `ingest` rows time one rank's block
+//! extraction plus plan compilation — the per-call set-up of a one-shot
+//! driver.
 //!
 //! Besides the Criterion report, this bench self-times a representative
 //! subset and writes `BENCH_kernels.json` at the repository root
@@ -147,6 +149,44 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
     group.finish();
 }
 
+/// One rank's tensor ingest: `OwnedBlocks::extract` copies the rank's
+/// blocks out of the packed tensor in contiguous runs, and
+/// `RankPlan::build` compiles the plan over that same arena. Rows report
+/// ingested words per second in place of flops.
+fn bench_ingest(c: &mut Criterion, rows: &mut Vec<Value>) {
+    let mut group = c.benchmark_group("ingest");
+    group.sample_size(10);
+    for (q, scale) in [(2u64, 1usize), (3, 1), (2, 8)] {
+        let part = bench_partition(q, scale);
+        let n = part.dim();
+        let tensor = bench_tensor(n, 14);
+        let rank = 0;
+        let ingest = || {
+            let owned = OwnedBlocks::extract(black_box(&tensor), &part, rank);
+            let plan = RankPlan::build(&part, &owned, rank);
+            black_box(plan.arena_bytes() / 8) as u64
+        };
+        let words = ingest();
+        assert_eq!(words as usize, part.tensor_words(rank), "q={q} n={n}: ingested words");
+        group.throughput(Throughput::Elements(words));
+        group.bench_with_input(
+            BenchmarkId::new(format!("extract_build_q{q}"), n),
+            &n,
+            |bench, _| bench.iter(ingest),
+        );
+        let (ns, words) = measure(ingest);
+        rows.push(
+            Value::object()
+                .with("kernel", "ingest")
+                .with("n", n)
+                .with("q", q)
+                .with("ns_per_iter", ns)
+                .with("words_per_sec", words as f64 / (ns * 1e-9)),
+        );
+    }
+    group.finish();
+}
+
 fn bench_kernels(c: &mut Criterion) {
     let mut rows: Vec<Value> = Vec::new();
     let mut group = c.benchmark_group("kernel_throughput");
@@ -227,6 +267,7 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 
     bench_plan(c, &mut rows);
+    bench_ingest(c, &mut rows);
 
     let json = Value::object()
         .with("benchmark", "kernels")

@@ -66,7 +66,8 @@ const TAG_Y: u64 = 2 << 40;
 pub struct RankContext<'a> {
     /// The shared data distribution.
     pub part: &'a TetraPartition,
-    /// This rank's tensor blocks (extracted once, never communicated).
+    /// This rank's tensor blocks (extracted once, never communicated); the
+    /// compiled plan shares their arena.
     pub owned: OwnedBlocks,
     /// Communication strategy for the vector phases.
     pub mode: Mode,
@@ -86,7 +87,11 @@ pub struct RankContext<'a> {
 }
 
 impl<'a> RankContext<'a> {
-    /// Builds the context for `rank`, extracting its tensor blocks.
+    /// Builds the context for `rank`, copying its tensor blocks out of the
+    /// packed tensor once, in contiguous runs, into one arena (see
+    /// [`OwnedBlocks::extract`]). [`RankContext::compile`] shares that
+    /// arena with the plan, so the context holds exactly one copy of the
+    /// rank's blocks for its whole life.
     pub fn new(
         tensor: &SymTensor3,
         part: &'a TetraPartition,
@@ -134,11 +139,11 @@ impl<'a> RankContext<'a> {
 
     /// Routes every subsequent [`RankContext::sttsv`] /
     /// [`RankContext::sttsv_multi`] call through the compiled rank plan:
-    /// the first call invokes [`RankContext::compile`] lazily (packing the
-    /// owned blocks into one contiguous arena and precomputing every
-    /// message layout), and the steady state thereafter performs zero heap
-    /// allocations. Results are **bit-identical** to the legacy path, and
-    /// word/message/round counts are unchanged.
+    /// the first call invokes [`RankContext::compile`] lazily (sharing the
+    /// owned blocks' arena and precomputing every message layout), and the
+    /// steady state thereafter performs zero heap allocations. Results are
+    /// **bit-identical** to the legacy path, and word/message/round counts
+    /// are unchanged.
     pub fn with_plan(mut self) -> Self {
         self.use_plan = true;
         self

@@ -1,7 +1,12 @@
 //! Per-rank owned tensor storage and the local STTSV kernels.
 //!
-//! Under the owner-compute rule each processor extracts its blocks from the
-//! global tensor **once** and never communicates them. Storage layouts:
+//! Under the owner-compute rule each processor reads its blocks from the
+//! global tensor **once** and never communicates them. All of a rank's
+//! blocks live in one shared, `(i, j, k)`-ordered arena with a per-block
+//! `(idx, kind, offset, len)` table ([`OwnedBlock`]); the compiled
+//! [`crate::plan::RankPlan`] takes a second handle to that same arena
+//! instead of copying it, so a rank holds exactly one copy of its tensor
+//! blocks. Per-block layouts within the arena:
 //!
 //! * off-diagonal block `(I, J, K)`, `I > J > K`: dense `b³`, index
 //!   `(li·b + lj)·b + lk` with `li/lj/lk` local to `I/J/K`,
@@ -11,14 +16,21 @@
 //!   `K`, index `li·tri_len + tri(lj, lk)`,
 //! * central `(I, I, I)`: the packed `li ≥ lj ≥ lk` tetrahedron.
 //!
+//! Every layout keeps `lk` innermost, and `lk` is also the fastest index of
+//! the packed tensor, so ingest copies each `(li, lj)` row of a block as
+//! one contiguous run (`b` words, or `lj + 1` when `J = K`) — at most `b²`
+//! slice copies per block rather than `b³` indexed gathers.
+//!
 //! The kernels perform, per stored element, exactly the updates of the
 //! paper's Algorithm 4 case analysis (lines 24–36 of Algorithm 5), and
 //! count ternary multiplications in the paper's model (3 / 2 / 1 updates
 //! per element depending on index coincidences).
 
 use crate::partition::TetraPartition;
-use crate::tetra::{BlockIdx, BlockKind};
+use crate::tetra::{entries_in_block, BlockIdx, BlockKind};
+use std::sync::Arc;
 use symtensor_core::seq::row_segment;
+use symtensor_core::storage::{tet, tri};
 use symtensor_core::SymTensor3;
 
 #[inline]
@@ -35,109 +47,102 @@ fn tet_idx(a: usize, b: usize, c: usize) -> usize {
 /// across thread counts.
 pub(crate) const MAX_COMPUTE_CHUNKS: usize = 32;
 
-/// One extracted tensor block with its data in the kind-specific layout.
-#[derive(Clone, Debug)]
+/// Where one owned tensor block sits in its rank's arena; read its entries
+/// with [`OwnedBlocks::data`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OwnedBlock {
     /// The block's (sorted) row-block triple.
     pub idx: BlockIdx,
     /// Its classification (off-diagonal / non-central / central).
     pub kind: BlockKind,
-    /// Entries in the kind-specific layout documented at module level.
-    pub data: Vec<f64>,
+    /// Offset of the block's first entry within the arena.
+    pub offset: usize,
+    /// Stored words, in the kind-specific layout documented at module level.
+    pub len: usize,
 }
 
-/// All tensor blocks owned by one rank.
+/// All tensor blocks owned by one rank, in one shared arena.
 #[derive(Clone, Debug)]
 pub struct OwnedBlocks {
-    /// The extracted blocks, sorted by block index.
-    pub blocks: Vec<OwnedBlock>,
+    /// The block table, sorted by block index (= arena order).
+    blocks: Vec<OwnedBlock>,
+    /// Every block's entries back-to-back, shared with the rank's plan.
+    arena: Arc<Vec<f64>>,
     b: usize,
 }
 
 impl OwnedBlocks {
-    /// Extracts processor `p`'s blocks from the global tensor.
+    /// Extracts processor `p`'s blocks from the global tensor, copying each
+    /// block row as one contiguous run of the packed tetrahedron.
     pub fn extract(tensor: &SymTensor3, part: &TetraPartition, p: usize) -> Self {
         assert_eq!(tensor.dim(), part.dim(), "tensor dimension mismatch");
         let b = part.block_size();
-        let blocks = part
-            .owned_blocks(p)
-            .into_iter()
-            .map(|idx| {
-                let kind = idx.kind();
-                let (gi, gj, gk) = (idx.i * b, idx.j * b, idx.k * b);
-                let data = match kind {
-                    BlockKind::OffDiagonal => {
-                        let mut data = Vec::with_capacity(b * b * b);
-                        for li in 0..b {
-                            for lj in 0..b {
-                                for lk in 0..b {
-                                    data.push(tensor.get_sorted(gi + li, gj + lj, gk + lk));
-                                }
-                            }
-                        }
-                        data
-                    }
-                    BlockKind::NonCentralIIK => {
-                        let mut data = Vec::with_capacity(b * (b + 1) / 2 * b);
-                        for li in 0..b {
-                            for lj in 0..=li {
-                                for lk in 0..b {
-                                    data.push(tensor.get_sorted(gi + li, gi + lj, gk + lk));
-                                }
-                            }
-                        }
-                        data
-                    }
-                    BlockKind::NonCentralIKK => {
-                        let mut data = Vec::with_capacity(b * b * (b + 1) / 2);
-                        for li in 0..b {
-                            for lj in 0..b {
-                                for lk in 0..=lj {
-                                    data.push(tensor.get_sorted(gi + li, gk + lj, gk + lk));
-                                }
-                            }
-                        }
-                        data
-                    }
-                    BlockKind::CentralDiagonal => {
-                        let mut data = Vec::with_capacity(b * (b + 1) * (b + 2) / 6);
-                        for li in 0..b {
-                            for lj in 0..=li {
-                                for lk in 0..=lj {
-                                    data.push(tensor.get_sorted(gi + li, gi + lj, gi + lk));
-                                }
-                            }
-                        }
-                        data
-                    }
-                };
-                OwnedBlock { idx, kind, data }
-            })
-            .collect();
-        OwnedBlocks { blocks, b }
+        let (blocks, words) = layout(part, p);
+        let packed = tensor.packed();
+        let mut arena = Vec::with_capacity(words);
+        for blk in &blocks {
+            let (gi, gj, gk) = (blk.idx.i * b, blk.idx.j * b, blk.idx.k * b);
+            for li in 0..b {
+                let row_base = tet(gi + li);
+                // I = J: only the lj ≤ li triangle is stored.
+                let lj_end = if blk.idx.i == blk.idx.j { li + 1 } else { b };
+                for lj in 0..lj_end {
+                    // J = K: only the lk ≤ lj prefix is stored.
+                    let run = if blk.idx.j == blk.idx.k { lj + 1 } else { b };
+                    let start = row_base + tri(gj + lj) + gk;
+                    arena.extend_from_slice(&packed[start..start + run]);
+                }
+            }
+            debug_assert_eq!(arena.len(), blk.offset + blk.len, "block {:?}", blk.idx);
+        }
+        OwnedBlocks { blocks, arena: Arc::new(arena), b }
     }
 
-    /// Builds processor `p`'s block *structure* with zeroed data — used by
-    /// receivers of a tensor scatter, which fill the data in afterwards.
-    /// The block order and per-block lengths are deterministic functions of
-    /// the partition, so sender and receiver agree without metadata.
-    pub fn extract_empty(part: &TetraPartition, p: usize) -> Self {
-        let b = part.block_size();
-        let blocks = part
-            .owned_blocks(p)
-            .into_iter()
-            .map(|idx| {
-                let kind = idx.kind();
-                let len = crate::tetra::entries_in_block(kind, b);
-                OwnedBlock { idx, kind, data: vec![0.0; len] }
-            })
-            .collect();
-        OwnedBlocks { blocks, b }
+    /// Adopts `arena` as processor `p`'s blocks, laid out as
+    /// [`OwnedBlocks::extract`] lays them out — the receiving end of a
+    /// tensor scatter. The layout is a deterministic function of the
+    /// partition, so sender and receiver agree without metadata. Returns
+    /// `None` when `arena` does not hold exactly `p`'s tensor words.
+    pub fn from_arena(part: &TetraPartition, p: usize, arena: Vec<f64>) -> Option<Self> {
+        let (blocks, words) = layout(part, p);
+        (arena.len() == words).then(|| OwnedBlocks {
+            blocks,
+            arena: Arc::new(arena),
+            b: part.block_size(),
+        })
+    }
+
+    /// Gives up the arena, copying it only if a plan still shares it.
+    pub fn into_arena(self) -> Vec<f64> {
+        Arc::try_unwrap(self.arena).unwrap_or_else(|shared| shared.as_ref().clone())
+    }
+
+    /// The block table, sorted by block index (= arena order).
+    #[inline]
+    pub fn blocks(&self) -> &[OwnedBlock] {
+        &self.blocks
     }
 
     /// Total stored words.
     pub fn words(&self) -> usize {
-        self.blocks.iter().map(|blk| blk.data.len()).sum()
+        self.arena.len()
+    }
+
+    /// Every block's entries back-to-back, in block-table order.
+    #[inline]
+    pub fn arena(&self) -> &[f64] {
+        &self.arena
+    }
+
+    /// A second handle to the arena, for the compiled plan.
+    pub(crate) fn shared_arena(&self) -> Arc<Vec<f64>> {
+        Arc::clone(&self.arena)
+    }
+
+    /// `blk`'s entries in its kind-specific layout.
+    #[inline]
+    pub fn data(&self, blk: &OwnedBlock) -> &[f64] {
+        &self.arena[blk.offset..blk.offset + blk.len]
     }
 
     /// The block edge length `b` these blocks were extracted with.
@@ -184,8 +189,8 @@ impl OwnedBlocks {
         let mut scratch = vec![0.0; 3 * b];
         let mut ternary: u64 = 0;
         for (blk, &s) in self.blocks.iter().zip(&slots) {
-            ternary +=
-                block_kernel_flat(blk.kind, &blk.data, b, s, &x_flat, &mut y_flat, &mut scratch);
+            let data = self.data(blk);
+            ternary += block_kernel_flat(blk.kind, data, b, s, &x_flat, &mut y_flat, &mut scratch);
         }
         for (t, row) in y_acc.iter_mut().enumerate() {
             add_into(row, &y_flat[t * b..t * b + b]);
@@ -235,7 +240,8 @@ impl OwnedBlocks {
             chunked_compute_flat(blocks.len(), b, y_flat, pool, |range, partial, scratch| {
                 let mut t = 0u64;
                 for (blk, &s) in blocks[range.clone()].iter().zip(&slots[range]) {
-                    t += block_kernel_flat(blk.kind, &blk.data, b, s, x_flat, partial, scratch);
+                    t +=
+                        block_kernel_flat(blk.kind, self.data(blk), b, s, x_flat, partial, scratch);
                 }
                 t
             });
@@ -245,6 +251,26 @@ impl OwnedBlocks {
         ws.give_back(xy);
         ternary
     }
+}
+
+/// Processor `p`'s block table — `(i, j, k)`-sorted, packed back-to-back —
+/// and its total word count.
+fn layout(part: &TetraPartition, p: usize) -> (Vec<OwnedBlock>, usize) {
+    let b = part.block_size();
+    let mut words = 0;
+    let blocks: Vec<OwnedBlock> = part
+        .owned_blocks(p)
+        .into_iter()
+        .map(|idx| {
+            let kind = idx.kind();
+            let len = entries_in_block(kind, b);
+            let blk = OwnedBlock { idx, kind, offset: words, len };
+            words += len;
+            blk
+        })
+        .collect();
+    debug_assert!(blocks.windows(2).all(|w| w[0].idx < w[1].idx), "blocks are (i, j, k)-sorted");
+    (blocks, words)
 }
 
 /// The shared chunked-parallel driver behind [`OwnedBlocks::compute_par`]

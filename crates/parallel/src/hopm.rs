@@ -110,8 +110,8 @@ pub fn parallel_shifted_hopm_mt(
 }
 
 /// [`parallel_shifted_hopm_mt`] running on compiled rank plans
-/// ([`RankContext::with_plan`]): each rank compiles its owned blocks into a
-/// contiguous arena once, before the first iteration, and every subsequent
+/// ([`RankContext::with_plan`]): each rank compiles its plan over its owned
+/// blocks' arena once, before the first iteration, and every subsequent
 /// STTSV runs allocation-free over preallocated flat slabs. The iteration
 /// trajectory is bit-identical to the legacy path at every thread count;
 /// only the steady-state memory behaviour changes.

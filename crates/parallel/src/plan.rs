@@ -8,8 +8,9 @@
 //! lookups, per-block local accumulators. A [`RankPlan`] resolves
 //! everything once, at compile time:
 //!
-//! * **Contiguous block arena** — all of the rank's owned blocks packed
-//!   into one `(i, j, k)`-sorted slab, with a per-block
+//! * **Shared block arena** — the plan holds a second handle to the
+//!   rank's [`OwnedBlocks`] arena (one `(i, j, k)`-sorted slab, built once
+//!   at ingest) rather than a copy of it, plus a per-block
 //!   offset / kind / slot table ([`PlanBlock`]). The `row_pos` lookup is
 //!   resolved *once* into precomputed x/y slot indices instead of being
 //!   dispatched per block per call.
@@ -40,6 +41,7 @@ use crate::blocks::{
 use crate::partition::TetraPartition;
 use crate::schedule::shared_row_blocks;
 use crate::tetra::BlockKind;
+use std::sync::Arc;
 use symtensor_pool::Pool;
 
 /// Classification of a [`PlanBlock`] by its gather-x dependency set: how
@@ -120,8 +122,9 @@ pub struct RankPlan {
     rank: usize,
     b: usize,
     t_count: usize,
-    /// All owned block data, packed contiguously in `(i, j, k)` order.
-    arena: Vec<f64>,
+    /// All owned block data, packed contiguously in `(i, j, k)` order —
+    /// the same allocation as the [`OwnedBlocks`] it was built from.
+    arena: Arc<Vec<f64>>,
     blocks: Vec<PlanBlock>,
     /// Every peer (all ranks but this one), in rank order — matching the
     /// legacy all-to-all peer iteration.
@@ -154,7 +157,7 @@ pub struct RankPlan {
 }
 
 impl RankPlan {
-    /// Compiles the plan for `rank`: packs `owned`'s blocks into the arena,
+    /// Compiles the plan for `rank`: shares `owned`'s arena (no copy),
     /// resolves the slot table and precomputes every peer's message layout.
     /// One-time cost; everything downstream is allocation-free reuse.
     pub fn build(part: &TetraPartition, owned: &OwnedBlocks, rank: usize) -> Self {
@@ -163,24 +166,18 @@ impl RankPlan {
         let t_count = rp.len();
         let row_pos = |i: usize| rp.binary_search(&i).expect("owned row block in R_p");
         let slots = owned.slot_table(&row_pos);
-        let mut arena = Vec::with_capacity(owned.words());
         let blocks: Vec<PlanBlock> = owned
-            .blocks
+            .blocks()
             .iter()
             .zip(&slots)
-            .map(|(blk, &s)| {
-                let offset = arena.len();
-                arena.extend_from_slice(&blk.data);
-                PlanBlock { offset, len: blk.data.len(), kind: blk.kind, slots: s }
+            .map(|(blk, &s)| PlanBlock {
+                offset: blk.offset,
+                len: blk.len,
+                kind: blk.kind,
+                slots: s,
             })
             .collect();
-        debug_assert!(
-            owned.blocks.windows(2).all(|w| {
-                let (a, c) = (&w[0].idx, &w[1].idx);
-                (a.i, a.j, a.k) <= (c.i, c.j, c.k)
-            }),
-            "owned blocks arrive (i, j, k)-sorted"
-        );
+        let arena = owned.shared_arena();
 
         let my_shards: Vec<(usize, usize)> = rp
             .iter()
@@ -312,6 +309,13 @@ impl RankPlan {
     #[inline]
     pub fn arena_bytes(&self) -> usize {
         self.arena.len() * std::mem::size_of::<f64>()
+    }
+
+    /// The packed block data — the same allocation as the owning
+    /// context's [`OwnedBlocks::arena`].
+    #[inline]
+    pub fn arena(&self) -> &[f64] {
+        &self.arena
     }
 
     /// Number of packed blocks.
@@ -1052,13 +1056,13 @@ mod tests {
     fn arena_is_contiguous_and_complete() {
         let (_part, owned, plan) = plan_for(30, 2, 3);
         assert_eq!(plan.arena.len(), owned.words());
-        assert_eq!(plan.block_count(), owned.blocks.len());
+        assert_eq!(plan.block_count(), owned.blocks().len());
         let mut expected_offset = 0;
-        for (pb, ob) in plan.blocks.iter().zip(&owned.blocks) {
+        for (pb, ob) in plan.blocks.iter().zip(owned.blocks()) {
             assert_eq!(pb.offset, expected_offset, "blocks are packed back-to-back");
-            assert_eq!(pb.len, ob.data.len());
+            assert_eq!(pb.len, ob.len);
             assert_eq!(pb.kind, ob.kind);
-            assert_eq!(&plan.arena[pb.offset..pb.offset + pb.len], ob.data.as_slice());
+            assert_eq!(&plan.arena[pb.offset..pb.offset + pb.len], owned.data(ob));
             expected_offset += pb.len;
         }
         assert!(plan.arena_bytes() == owned.words() * 8);

@@ -39,13 +39,9 @@ pub fn scatter_from_root(
             if p == 0 {
                 // Root: extract and ship every other rank's data.
                 for dst in 1..p_count {
-                    let owned = OwnedBlocks::extract(tensor, part, dst);
-                    // Ship all blocks as one concatenated message (the block
-                    // structure is deterministic, so the receiver can re-split).
-                    let mut payload = Vec::with_capacity(owned.words());
-                    for blk in &owned.blocks {
-                        payload.extend_from_slice(&blk.data);
-                    }
+                    // Ship the rank's whole arena as one message (the block
+                    // layout is deterministic, so the receiver adopts it).
+                    let payload = OwnedBlocks::extract(tensor, part, dst).into_arena();
                     comm.send(dst, TAG_SCATTER_T, payload);
                     let shards: Vec<f64> = part
                         .r_set(dst)
@@ -63,15 +59,8 @@ pub fn scatter_from_root(
                 (owned, shards)
             } else {
                 let payload = comm.recv(0, TAG_SCATTER_T).expect("tensor scatter");
-                // Rebuild the block structure from the deterministic layout.
-                let mut owned = OwnedBlocks::extract_empty(part, p);
-                let mut offset = 0;
-                for blk in &mut owned.blocks {
-                    let len = blk.data.len();
-                    blk.data.copy_from_slice(&payload[offset..offset + len]);
-                    offset += len;
-                }
-                assert_eq!(offset, payload.len(), "scatter payload length mismatch");
+                let owned = OwnedBlocks::from_arena(part, p, payload)
+                    .expect("scatter payload length mismatch");
                 let flat = comm.recv(0, TAG_SCATTER_X).expect("vector scatter");
                 let mut shards = Vec::new();
                 let mut pos = 0;
@@ -115,11 +104,8 @@ mod tests {
         let (results, report) = scatter_from_root(&tensor, &part, &x);
         for (p, (owned, shards)) in results.iter().enumerate() {
             let reference = OwnedBlocks::extract(&tensor, &part, p);
-            assert_eq!(owned.blocks.len(), reference.blocks.len());
-            for (got, want) in owned.blocks.iter().zip(&reference.blocks) {
-                assert_eq!(got.idx, want.idx, "rank {p}");
-                assert_eq!(got.data, want.data, "rank {p} block {:?}", got.idx);
-            }
+            assert_eq!(owned.blocks(), reference.blocks(), "rank {p}");
+            assert_eq!(owned.arena(), reference.arena(), "rank {p}");
             let want_shards = local_shards(&part, p, &x);
             assert_eq!(shards, &want_shards, "rank {p} shards");
         }

@@ -13,14 +13,19 @@ use symtensor_obs::{postmortem_json, reconcile_postmortem, validate, ArtifactKin
 /// A 3-rank ring exchange in phase `gather-x`, round 2, where rank 1
 /// panics after sending but before receiving — its inbound message is in
 /// flight when the abort trips, exactly the mid-exchange wreckage a
-/// post-mortem has to make sense of.
+/// post-mortem has to make sense of. Rank 1 panics only once every rank
+/// has sent: a send to a rank that already exited never enters the
+/// network, so without the barrier a late-starting rank would record no
+/// send.
 fn crash_run() -> Box<symtensor_mpsim::RankFailure> {
+    let all_sent = std::sync::Barrier::new(3);
     Universe::new(3)
         .try_run_traced(|comm| {
             let p = comm.rank();
             comm.with_phase("gather-x", || {
                 comm.annotate_round(2);
                 comm.send((p + 1) % 3, 0, vec![1.0; 6]);
+                all_sent.wait();
                 if p == 1 {
                     panic!("injected mid-exchange failure");
                 }
