@@ -10,8 +10,9 @@
 //! hosts while staying bit-identical across thread counts; the compiled
 //! `RankPlan` arena kernel is no slower than `OwnedBlocks::compute` while
 //! running allocation-free. The `ingest` rows time one rank's block
-//! extraction plus plan compilation — the per-call set-up of a one-shot
-//! driver.
+//! table plus plan compilation, and the `first_pass` rows add the rank's
+//! first vector pass, which reads every block row in place from the packed
+//! tensor — together, the per-call set-up and kernel of a one-shot driver.
 //!
 //! Besides the Criterion report, this bench self-times a representative
 //! subset and writes `BENCH_kernels.json` at the repository root
@@ -149,10 +150,10 @@ fn bench_plan(c: &mut Criterion, rows: &mut Vec<Value>) {
     group.finish();
 }
 
-/// One rank's tensor ingest: `OwnedBlocks::extract` copies the rank's
-/// blocks out of the packed tensor in contiguous runs, and
-/// `RankPlan::build` compiles the plan over that same arena. Rows report
-/// ingested words per second in place of flops.
+/// One rank's tensor ingest: `OwnedBlocks::extract` lays out the rank's
+/// block table over a borrow of the packed tensor, copying nothing, and
+/// `RankPlan::build` compiles the plan over the same row store. Rows
+/// report the rank's owned words per second in place of flops.
 fn bench_ingest(c: &mut Criterion, rows: &mut Vec<Value>) {
     let mut group = c.benchmark_group("ingest");
     group.sample_size(10);
@@ -183,6 +184,45 @@ fn bench_ingest(c: &mut Criterion, rows: &mut Vec<Value>) {
                 .with("ns_per_iter", ns)
                 .with("words_per_sec", words as f64 / (ns * 1e-9)),
         );
+    }
+    group.finish();
+}
+
+/// One rank's one-shot work: `OwnedBlocks::extract`, `RankPlan::build`
+/// and one `RankPlan::compute` — the rank's first vector pass, which reads
+/// every block row in place from the packed tensor and builds no arena.
+fn bench_first_pass(c: &mut Criterion, rows: &mut Vec<Value>) {
+    let mut group = c.benchmark_group("first_pass");
+    group.sample_size(10);
+    for (q, scale) in [(2u64, 1usize), (3, 1), (2, 8)] {
+        let part = bench_partition(q, scale);
+        let n = part.dim();
+        let b = part.block_size();
+        let tensor = bench_tensor(n, 15);
+        let rank = 0;
+        let x_full: Vec<Vec<f64>> = (0..part.r_set(rank).len())
+            .map(|t| (0..b).map(|i| (((i + t * 7) as f64) * 0.019).cos()).collect())
+            .collect();
+        let first_pass = || {
+            let owned = OwnedBlocks::extract(black_box(&tensor), &part, rank);
+            let plan = RankPlan::build(&part, &owned, rank);
+            let mut ws = PlanWorkspace::new();
+            plan.ensure_capacity(&mut ws, 1);
+            plan.load_full(&mut ws, 0, black_box(&x_full));
+            let ternary = plan.compute(&mut ws, 1, None);
+            assert!(plan.arena().is_none(), "q={q} n={n}: the first pass reads in place");
+            ternary
+        };
+        let ternary = first_pass();
+        assert_eq!(ternary, part.ternary_mults(rank), "q={q} n={n}: ternary count");
+        group.throughput(Throughput::Elements(ternary));
+        group.bench_with_input(
+            BenchmarkId::new(format!("extract_build_compute_q{q}"), n),
+            &n,
+            |bench, _| bench.iter(first_pass),
+        );
+        let (ns, ternary) = measure(first_pass);
+        record(rows, "first_pass", n, Some(q), ns, ternary);
     }
     group.finish();
 }
@@ -268,6 +308,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     bench_plan(c, &mut rows);
     bench_ingest(c, &mut rows);
+    bench_first_pass(c, &mut rows);
 
     let json = Value::object()
         .with("benchmark", "kernels")

@@ -62,13 +62,13 @@ const TAG_X: u64 = 1 << 40;
 const TAG_Y: u64 = 2 << 40;
 
 /// Everything one rank needs to run STTSV repeatedly (the tensor blocks are
-/// extracted once and reused across iterations, e.g. by HOPM).
+/// resolved once and reused across iterations, e.g. by HOPM).
 pub struct RankContext<'a> {
     /// The shared data distribution.
     pub part: &'a TetraPartition,
-    /// This rank's tensor blocks (extracted once, never communicated); the
-    /// compiled plan shares their arena.
-    pub owned: OwnedBlocks,
+    /// This rank's tensor blocks (never communicated); the compiled plan
+    /// shares their row store.
+    pub owned: OwnedBlocks<'a>,
     /// Communication strategy for the vector phases.
     pub mode: Mode,
     /// The point-to-point schedule (required for [`Mode::Scheduled`]).
@@ -81,19 +81,20 @@ pub struct RankContext<'a> {
     /// (see [`RankContext::with_plan`]).
     use_plan: bool,
     /// The lazily compiled plan (see [`RankContext::compile`]).
-    plan: OnceCell<RankPlan>,
+    plan: OnceCell<RankPlan<'a>>,
     /// The plan's reusable flat slabs and recycled message buffers.
     plan_ws: RefCell<PlanWorkspace>,
 }
 
 impl<'a> RankContext<'a> {
-    /// Builds the context for `rank`, copying its tensor blocks out of the
-    /// packed tensor once, in contiguous runs, into one arena (see
-    /// [`OwnedBlocks::extract`]). [`RankContext::compile`] shares that
-    /// arena with the plan, so the context holds exactly one copy of the
-    /// rank's blocks for its whole life.
+    /// Builds the context for `rank` over a borrow of `tensor`: copies
+    /// nothing (see [`OwnedBlocks::extract`]). The rank's first vector pass
+    /// reads its block rows in place from the packed tensor; its second
+    /// copies them, once, in contiguous runs, into one arena. Context and
+    /// plan ([`RankContext::compile`]) share that arena, so the context
+    /// holds at most one copy of the rank's blocks for its whole life.
     pub fn new(
-        tensor: &SymTensor3,
+        tensor: &'a SymTensor3,
         part: &'a TetraPartition,
         rank: usize,
         mode: Mode,
@@ -107,7 +108,7 @@ impl<'a> RankContext<'a> {
     /// [`OwnedBlocks`] without the global tensor.
     pub fn from_parts(
         part: &'a TetraPartition,
-        owned: OwnedBlocks,
+        owned: OwnedBlocks<'a>,
         mode: Mode,
         schedule: Option<&'a CommSchedule>,
     ) -> Self {
@@ -140,8 +141,9 @@ impl<'a> RankContext<'a> {
     /// Routes every subsequent [`RankContext::sttsv`] /
     /// [`RankContext::sttsv_multi`] call through the compiled rank plan:
     /// the first call invokes [`RankContext::compile`] lazily (sharing the
-    /// owned blocks' arena and precomputing every message layout), and the
-    /// steady state thereafter performs zero heap allocations. Results are
+    /// owned blocks' row store and precomputing every message layout), and
+    /// the steady state after the arena-building second vector pass
+    /// performs zero heap allocations. Results are
     /// **bit-identical** to the legacy path, and word/message/round counts
     /// are unchanged.
     pub fn with_plan(mut self) -> Self {
@@ -152,14 +154,14 @@ impl<'a> RankContext<'a> {
     /// Compiles (on first call) and returns this rank's [`RankPlan`]; all
     /// later calls — and every plan-routed `sttsv`/`sttsv_multi`/HOPM
     /// iteration — reuse it.
-    pub fn compile(&self, rank: usize) -> &RankPlan {
+    pub fn compile(&self, rank: usize) -> &RankPlan<'a> {
         let plan = self.plan.get_or_init(|| RankPlan::build(self.part, &self.owned, rank));
         assert_eq!(plan.rank(), rank, "one RankContext serves one rank");
         plan
     }
 
     /// The compiled plan, if [`RankContext::compile`] has run.
-    pub fn plan(&self) -> Option<&RankPlan> {
+    pub fn plan(&self) -> Option<&RankPlan<'a>> {
         self.plan.get()
     }
 
@@ -1533,8 +1535,8 @@ fn run_sttsv_planned(
 
 /// [`parallel_sttsv_multi`] routed through the compiled rank plan — the
 /// high-throughput serving configuration: blocks packed once into the
-/// arena, the whole batch moving through one allocation-free exchange-
-/// phase pair. Bit-identical to [`parallel_sttsv_multi`].
+/// arena (by the batch's second vector), the whole batch moving through
+/// one exchange-phase pair. Bit-identical to [`parallel_sttsv_multi`].
 pub fn parallel_sttsv_multi_planned(
     tensor: &SymTensor3,
     part: &TetraPartition,

@@ -1,12 +1,20 @@
 //! Per-rank owned tensor storage and the local STTSV kernels.
 //!
 //! Under the owner-compute rule each processor reads its blocks from the
-//! global tensor **once** and never communicates them. All of a rank's
-//! blocks live in one shared, `(i, j, k)`-ordered arena with a per-block
-//! `(idx, kind, offset, len)` table ([`OwnedBlock`]); the compiled
-//! [`crate::plan::RankPlan`] takes a second handle to that same arena
-//! instead of copying it, so a rank holds exactly one copy of its tensor
-//! blocks. Per-block layouts within the arena:
+//! global tensor and never communicates them. A rank's [`OwnedBlocks`] is
+//! an `(i, j, k)`-sorted block table ([`OwnedBlock`]) plus one row store
+//! that the compiled [`crate::plan::RankPlan`] shares rather than copies.
+//!
+//! Every block row `(li, lj)` is one contiguous run of the packed
+//! tetrahedron — `b` words, or `lj + 1` when `J = K` — starting at
+//! `tet(gi+li) + tri(gj+lj) + gk`. So the store starts as a borrow of the
+//! packed tensor and the rank's **first** vector pass reads its rows there,
+//! in place. The rank's **second** vector pass copies those runs, once,
+//! into a contiguous arena, and that pass and every later one stream the
+//! arena. A one-vector call copies nothing; an iterative caller pays one
+//! copy. A store adopted from a tensor scatter starts with its arena.
+//!
+//! Per-block layouts within the arena:
 //!
 //! * off-diagonal block `(I, J, K)`, `I > J > K`: dense `b³`, index
 //!   `(li·b + lj)·b + lk` with `li/lj/lk` local to `I/J/K`,
@@ -16,19 +24,22 @@
 //!   `K`, index `li·tri_len + tri(lj, lk)`,
 //! * central `(I, I, I)`: the packed `li ≥ lj ≥ lk` tetrahedron.
 //!
-//! Every layout keeps `lk` innermost, and `lk` is also the fastest index of
-//! the packed tensor, so ingest copies each `(li, lj)` row of a block as
-//! one contiguous run (`b` words, or `lj + 1` when `J = K`) — at most `b²`
-//! slice copies per block rather than `b³` indexed gathers.
+//! Every layout keeps `lk` innermost and lays rows out in `(li, lj)` order,
+//! which is why building the arena is at most `b²` slice copies per block.
 //!
 //! The kernels perform, per stored element, exactly the updates of the
 //! paper's Algorithm 4 case analysis (lines 24–36 of Algorithm 5), and
 //! count ternary multiplications in the paper's model (3 / 2 / 1 updates
-//! per element depending on index coincidences).
+//! per element depending on index coincidences). Each kernel is written
+//! once, generic over where its rows come from (the `Rows` trait), and
+//! monomorphized for in-place and arena reads; the arithmetic and its order
+//! are the same in both, so the two are bit-identical.
 
 use crate::partition::TetraPartition;
+use crate::plan::PlanBlock;
 use crate::tetra::{entries_in_block, BlockIdx, BlockKind};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use symtensor_core::seq::row_segment;
 use symtensor_core::storage::{tet, tri};
 use symtensor_core::SymTensor3;
@@ -47,8 +58,8 @@ fn tet_idx(a: usize, b: usize, c: usize) -> usize {
 /// across thread counts.
 pub(crate) const MAX_COMPUTE_CHUNKS: usize = 32;
 
-/// Where one owned tensor block sits in its rank's arena; read its entries
-/// with [`OwnedBlocks::data`].
+/// Where one owned tensor block sits in its rank's arena; read its rows
+/// with [`OwnedBlocks::rows`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OwnedBlock {
     /// The block's (sorted) row-block triple.
@@ -61,60 +72,53 @@ pub struct OwnedBlock {
     pub len: usize,
 }
 
-/// All tensor blocks owned by one rank, in one shared arena.
+/// All tensor blocks owned by one rank: the block table plus the row store
+/// shared with the rank's compiled plan (see module docs).
 #[derive(Clone, Debug)]
-pub struct OwnedBlocks {
+pub struct OwnedBlocks<'a> {
     /// The block table, sorted by block index (= arena order).
     blocks: Vec<OwnedBlock>,
-    /// Every block's entries back-to-back, shared with the rank's plan.
-    arena: Arc<Vec<f64>>,
-    b: usize,
+    /// Where the rows live, shared with the rank's plan.
+    store: Arc<RowStore<'a>>,
 }
 
-impl OwnedBlocks {
-    /// Extracts processor `p`'s blocks from the global tensor, copying each
-    /// block row as one contiguous run of the packed tetrahedron.
-    pub fn extract(tensor: &SymTensor3, part: &TetraPartition, p: usize) -> Self {
+impl<'a> OwnedBlocks<'a> {
+    /// Processor `p`'s blocks, read in place from `tensor`'s packed storage.
+    /// Copies nothing: the rank's second vector pass builds the arena.
+    pub fn extract(tensor: &'a SymTensor3, part: &TetraPartition, p: usize) -> Self {
         assert_eq!(tensor.dim(), part.dim(), "tensor dimension mismatch");
-        let b = part.block_size();
         let (blocks, words) = layout(part, p);
-        let packed = tensor.packed();
-        let mut arena = Vec::with_capacity(words);
-        for blk in &blocks {
-            let (gi, gj, gk) = (blk.idx.i * b, blk.idx.j * b, blk.idx.k * b);
-            for li in 0..b {
-                let row_base = tet(gi + li);
-                // I = J: only the lj ≤ li triangle is stored.
-                let lj_end = if blk.idx.i == blk.idx.j { li + 1 } else { b };
-                for lj in 0..lj_end {
-                    // J = K: only the lk ≤ lj prefix is stored.
-                    let run = if blk.idx.j == blk.idx.k { lj + 1 } else { b };
-                    let start = row_base + tri(gj + lj) + gk;
-                    arena.extend_from_slice(&packed[start..start + run]);
-                }
-            }
-            debug_assert_eq!(arena.len(), blk.offset + blk.len, "block {:?}", blk.idx);
-        }
-        OwnedBlocks { blocks, arena: Arc::new(arena), b }
+        let store = RowStore::new(tensor.packed(), part.block_size(), words, OnceLock::new());
+        OwnedBlocks { blocks, store: Arc::new(store) }
     }
 
     /// Adopts `arena` as processor `p`'s blocks, laid out as
-    /// [`OwnedBlocks::extract`] lays them out — the receiving end of a
+    /// [`OwnedBlocks::into_arena`] lays them out — the receiving end of a
     /// tensor scatter. The layout is a deterministic function of the
     /// partition, so sender and receiver agree without metadata. Returns
     /// `None` when `arena` does not hold exactly `p`'s tensor words.
     pub fn from_arena(part: &TetraPartition, p: usize, arena: Vec<f64>) -> Option<Self> {
         let (blocks, words) = layout(part, p);
-        (arena.len() == words).then(|| OwnedBlocks {
-            blocks,
-            arena: Arc::new(arena),
-            b: part.block_size(),
+        (arena.len() == words).then(|| {
+            let store = RowStore::new(&[], part.block_size(), words, OnceLock::from(arena));
+            OwnedBlocks { blocks, store: Arc::new(store) }
         })
     }
 
-    /// Gives up the arena, copying it only if a plan still shares it.
+    /// The contiguous arena, by value: taken if this is its only handle,
+    /// copied if a plan still shares it, and built with the arena's own run
+    /// copies if no pass has built it yet.
     pub fn into_arena(self) -> Vec<f64> {
-        Arc::try_unwrap(self.arena).unwrap_or_else(|shared| shared.as_ref().clone())
+        let idxs = self.blocks.iter().map(|blk| blk.idx);
+        match Arc::try_unwrap(self.store) {
+            Ok(RowStore { packed, b, words, arena, .. }) => {
+                arena.into_inner().unwrap_or_else(|| copy_runs(packed, b, words, idxs))
+            }
+            Err(shared) => shared.arena().map_or_else(
+                || copy_runs(shared.packed, shared.b, shared.words, idxs),
+                <[f64]>::to_vec,
+            ),
+        }
     }
 
     /// The block table, sorted by block index (= arena order).
@@ -123,51 +127,74 @@ impl OwnedBlocks {
         &self.blocks
     }
 
-    /// Total stored words.
+    /// The rank's owned tensor words (the arena's length, built or not).
     pub fn words(&self) -> usize {
-        self.arena.len()
+        self.store.words()
     }
 
-    /// Every block's entries back-to-back, in block-table order.
-    #[inline]
-    pub fn arena(&self) -> &[f64] {
-        &self.arena
+    /// The contiguous arena, once the rank's second vector pass has built
+    /// it (or a scatter delivered it); `None` while rows are read in place.
+    pub fn arena(&self) -> Option<&[f64]> {
+        self.store.arena()
     }
 
-    /// A second handle to the arena, for the compiled plan.
-    pub(crate) fn shared_arena(&self) -> Arc<Vec<f64>> {
-        Arc::clone(&self.arena)
+    /// `blk`'s rows in arena order, read from wherever the rows live now:
+    /// the packed tensor before the arena exists, the arena after. Claims
+    /// no vector pass.
+    pub fn rows<'s>(&'s self, blk: &OwnedBlock) -> impl Iterator<Item = &'s [f64]> + 's {
+        let (idx, offset, len) = (blk.idx, blk.offset, blk.len);
+        let source = self.store.current();
+        let mut pos = 0;
+        layout_rows(idx, self.block_size()).map(move |(li, lj, run)| {
+            let at = pos;
+            pos += run;
+            match source {
+                Pass::InPlace(rows) => rows.block(idx, offset, len).row(at, li, lj, run),
+                Pass::Arena(rows) => rows.block(idx, offset, len).row(at, li, lj, run),
+            }
+        })
     }
 
-    /// `blk`'s entries in its kind-specific layout.
-    #[inline]
-    pub fn data(&self, blk: &OwnedBlock) -> &[f64] {
-        &self.arena[blk.offset..blk.offset + blk.len]
+    /// A second handle to the row store, for the compiled plan.
+    pub(crate) fn shared_store(&self) -> Arc<RowStore<'a>> {
+        Arc::clone(&self.store)
     }
 
     /// The block edge length `b` these blocks were extracted with.
     #[inline]
     pub fn block_size(&self) -> usize {
-        self.b
+        self.store.b
     }
 
-    /// Resolves every block's `(i, j, k)` row-block triple into row *slots*
-    /// (positions within `R_p`) **once**, so the kernels index flat `x`/`y`
-    /// slabs directly instead of dispatching a lookup closure per block.
-    pub(crate) fn slot_table<F>(&self, row_pos: &F) -> Vec<[usize; 3]>
+    /// The block table with every block's `(i, j, k)` row-block triple
+    /// resolved **once** into row *slots* (positions within `R_p`), so the
+    /// kernels index flat `x`/`y` slabs directly instead of dispatching a
+    /// lookup closure per block.
+    pub(crate) fn plan_blocks<F>(&self, row_pos: &F) -> Vec<PlanBlock>
     where
         F: Fn(usize) -> usize,
     {
         self.blocks
             .iter()
-            .map(|blk| [row_pos(blk.idx.i), row_pos(blk.idx.j), row_pos(blk.idx.k)])
+            .map(|blk| PlanBlock {
+                idx: blk.idx,
+                offset: blk.offset,
+                len: blk.len,
+                kind: blk.kind,
+                slots: [row_pos(blk.idx.i), row_pos(blk.idx.j), row_pos(blk.idx.k)],
+            })
             .collect()
+    }
+
+    /// Claims one vector pass (see [`RowStore::pass`]).
+    fn pass(&self) -> Pass<'_> {
+        self.store.pass(1, self.blocks.iter().map(|blk| blk.idx))
     }
 
     /// Runs the local STTSV kernels: `x_full` maps row-block index → the
     /// gathered full row block (length `b`); contributions accumulate into
     /// `y_acc` (same keying). Returns the ternary-multiplication count in
-    /// the paper's model.
+    /// the paper's model. One vector pass.
     ///
     /// `x_full`/`y_acc` are indexed by *position within `R_p`*; the
     /// `row_pos` lookup supplied by the caller is resolved **once** into a
@@ -177,8 +204,8 @@ impl OwnedBlocks {
     where
         F: Fn(usize) -> usize,
     {
-        let b = self.b;
-        let slots = self.slot_table(&row_pos);
+        let b = self.block_size();
+        let table = self.plan_blocks(&row_pos);
         let t_count = x_full.len();
         let mut x_flat = vec![0.0; t_count * b];
         for (t, row) in x_full.iter().enumerate() {
@@ -187,11 +214,7 @@ impl OwnedBlocks {
         }
         let mut y_flat = vec![0.0; t_count * b];
         let mut scratch = vec![0.0; 3 * b];
-        let mut ternary: u64 = 0;
-        for (blk, &s) in self.blocks.iter().zip(&slots) {
-            let data = self.data(blk);
-            ternary += block_kernel_flat(blk.kind, data, b, s, &x_flat, &mut y_flat, &mut scratch);
-        }
+        let ternary = self.pass().run(&table, b, &x_flat, &mut y_flat, &mut scratch);
         for (t, row) in y_acc.iter_mut().enumerate() {
             add_into(row, &y_flat[t * b..t * b + b]);
         }
@@ -210,7 +233,8 @@ impl OwnedBlocks {
     /// **bit-identical across runs and thread counts**; it can differ from
     /// the sequential [`OwnedBlocks::compute`] only in floating-point
     /// summation order. The returned ternary count is exactly the
-    /// sequential one.
+    /// sequential one. One vector pass, its row source chosen before any
+    /// chunk is dispatched.
     pub fn compute_par<F>(
         &self,
         x_full: &[Vec<f64>],
@@ -224,8 +248,8 @@ impl OwnedBlocks {
         if self.blocks.is_empty() {
             return 0;
         }
-        let b = self.b;
-        let slots = self.slot_table(&row_pos);
+        let b = self.block_size();
+        let table = self.plan_blocks(&row_pos);
         let t_count = x_full.len();
         let ws = pool.workspaces();
         let mut xy = ws.lease_zeroed(2 * t_count * b);
@@ -234,16 +258,11 @@ impl OwnedBlocks {
             debug_assert_eq!(row.len(), b);
             x_flat[t * b..t * b + b].copy_from_slice(row);
         }
-        let blocks = &self.blocks;
+        let pass = self.pass();
         let x_flat = &*x_flat;
         let ternary =
-            chunked_compute_flat(blocks.len(), b, y_flat, pool, |range, partial, scratch| {
-                let mut t = 0u64;
-                for (blk, &s) in blocks[range.clone()].iter().zip(&slots[range]) {
-                    t +=
-                        block_kernel_flat(blk.kind, self.data(blk), b, s, x_flat, partial, scratch);
-                }
-                t
+            chunked_compute_flat(table.len(), b, y_flat, pool, |range, partial, scratch| {
+                pass.run(&table[range], b, x_flat, partial, scratch)
             });
         for (t, row) in y_acc.iter_mut().enumerate() {
             add_into(row, &y_flat[t * b..t * b + b]);
@@ -271,6 +290,214 @@ fn layout(part: &TetraPartition, p: usize) -> (Vec<OwnedBlock>, usize) {
         .collect();
     debug_assert!(blocks.windows(2).all(|w| w[0].idx < w[1].idx), "blocks are (i, j, k)-sorted");
     (blocks, words)
+}
+
+/// Block `idx`'s rows in arena order, as `(li, lj, run)`: `run` words of
+/// consecutive `lk`.
+fn layout_rows(idx: BlockIdx, b: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..b).flat_map(move |li| {
+        // I = J: only the lj ≤ li triangle is stored.
+        let lj_end = if idx.i == idx.j { li + 1 } else { b };
+        // J = K: only the lk ≤ lj prefix is stored.
+        (0..lj_end).map(move |lj| (li, lj, if idx.j == idx.k { lj + 1 } else { b }))
+    })
+}
+
+/// The blocks `idxs`' rows, copied out of the packed tensor in arena order,
+/// one contiguous run per row.
+fn copy_runs(
+    packed: &[f64],
+    b: usize,
+    words: usize,
+    idxs: impl IntoIterator<Item = BlockIdx>,
+) -> Vec<f64> {
+    let mut arena = Vec::with_capacity(words);
+    for idx in idxs {
+        let rows = PackedRows::at(packed, b, idx);
+        for (li, lj, run) in layout_rows(idx, b) {
+            arena.extend_from_slice(rows.row(0, li, lj, run));
+        }
+    }
+    debug_assert_eq!(arena.len(), words);
+    arena
+}
+
+/// Where a rank's block rows live, shared by its [`OwnedBlocks`] and its
+/// compiled plan: the packed tensor, read in place, until the rank's second
+/// vector pass builds the contiguous arena.
+#[derive(Debug)]
+pub(crate) struct RowStore<'a> {
+    /// The packed tensor; empty for a store adopted with its arena.
+    packed: &'a [f64],
+    b: usize,
+    /// The rank's owned tensor words.
+    words: usize,
+    /// The contiguous arena, once built or adopted.
+    arena: OnceLock<Vec<f64>>,
+    /// Vector passes claimed so far.
+    passes: AtomicUsize,
+}
+
+impl<'a> RowStore<'a> {
+    fn new(packed: &'a [f64], b: usize, words: usize, arena: OnceLock<Vec<f64>>) -> Self {
+        RowStore { packed, b, words, arena, passes: AtomicUsize::new(0) }
+    }
+
+    /// The rank's owned tensor words.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The contiguous arena, if built or adopted.
+    pub(crate) fn arena(&self) -> Option<&[f64]> {
+        self.arena.get().map(Vec::as_slice)
+    }
+
+    /// Claims `vectors` vector passes over the blocks `idxs` (arena order)
+    /// and returns where they read rows from. The rank's first pass, when
+    /// it is a lone vector, reads in place; any other pass reads the arena,
+    /// which the first such pass builds with one run copy per row.
+    pub(crate) fn pass<I>(&self, vectors: usize, idxs: I) -> Pass<'_>
+    where
+        I: IntoIterator<Item = BlockIdx>,
+    {
+        // Relaxed: the count only picks a row source, and both sources hold
+        // the same values; the arena itself is published by the OnceLock.
+        let before = self.passes.fetch_add(vectors, Ordering::Relaxed);
+        if before == 0 && vectors == 1 && self.arena.get().is_none() {
+            return self.in_place();
+        }
+        let arena = self.arena.get_or_init(|| copy_runs(self.packed, self.b, self.words, idxs));
+        Pass::Arena(ArenaRows(arena))
+    }
+
+    /// Where rows live now, claiming no pass.
+    pub(crate) fn current(&self) -> Pass<'_> {
+        match self.arena.get() {
+            Some(arena) => Pass::Arena(ArenaRows(arena)),
+            None => self.in_place(),
+        }
+    }
+
+    fn in_place(&self) -> Pass<'_> {
+        Pass::InPlace(PackedRows { packed: self.packed, b: self.b, base: [0; 3] })
+    }
+}
+
+/// A source of block rows, narrowed to one block at a time.
+pub(crate) trait Rows<'d>: Copy {
+    /// This source narrowed to the block `idx` stored at
+    /// `offset..offset + len` of the arena.
+    fn block(self, idx: BlockIdx, offset: usize, len: usize) -> Self;
+
+    /// Row `(li, lj)` of the current block: the `run` words that start at
+    /// `pos` in the block's arena layout.
+    fn row(self, pos: usize, li: usize, lj: usize, run: usize) -> &'d [f64];
+}
+
+/// Rows read from the contiguous arena.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ArenaRows<'d>(&'d [f64]);
+
+impl<'d> Rows<'d> for ArenaRows<'d> {
+    #[inline(always)]
+    fn block(self, _idx: BlockIdx, offset: usize, len: usize) -> Self {
+        ArenaRows(&self.0[offset..offset + len])
+    }
+
+    #[inline(always)]
+    fn row(self, pos: usize, _li: usize, _lj: usize, run: usize) -> &'d [f64] {
+        &self.0[pos..pos + run]
+    }
+}
+
+/// Rows read in place from the packed tensor: row `(li, lj)` of block
+/// `(I, J, K)` starts at `tet(gi+li) + tri(gj+lj) + gk`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PackedRows<'d> {
+    packed: &'d [f64],
+    b: usize,
+    /// The block's first global row, column and fiber: `(gi, gj, gk)`.
+    base: [usize; 3],
+}
+
+impl<'d> PackedRows<'d> {
+    #[inline(always)]
+    fn at(packed: &'d [f64], b: usize, idx: BlockIdx) -> Self {
+        PackedRows { packed, b, base: [idx.i * b, idx.j * b, idx.k * b] }
+    }
+}
+
+impl<'d> Rows<'d> for PackedRows<'d> {
+    #[inline(always)]
+    fn block(self, idx: BlockIdx, _offset: usize, _len: usize) -> Self {
+        PackedRows::at(self.packed, self.b, idx)
+    }
+
+    #[inline(always)]
+    fn row(self, _pos: usize, li: usize, lj: usize, run: usize) -> &'d [f64] {
+        let [gi, gj, gk] = self.base;
+        let start = tet(gi + li) + tri(gj + lj) + gk;
+        &self.packed[start..start + run]
+    }
+}
+
+/// The row source of one vector pass, chosen once before any block runs.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Pass<'d> {
+    /// The rank's first pass: rows read in place from the packed tensor.
+    InPlace(PackedRows<'d>),
+    /// Every later pass: rows streamed from the contiguous arena.
+    Arena(ArenaRows<'d>),
+}
+
+impl Pass<'_> {
+    /// Runs `blocks` over one vector's flat `x`/`y` slabs (keyed by row
+    /// slot), with the kernels monomorphized for this pass's row source.
+    /// `scratch` is a caller-provided `3b`-word buffer. Returns the blocks'
+    /// exact ternary count.
+    #[inline]
+    pub(crate) fn run(
+        self,
+        blocks: &[PlanBlock],
+        b: usize,
+        x: &[f64],
+        y: &mut [f64],
+        scratch: &mut [f64],
+    ) -> u64 {
+        match self {
+            Pass::InPlace(rows) => run_blocks(rows, blocks, b, x, y, scratch),
+            Pass::Arena(rows) => run_blocks(rows, blocks, b, x, y, scratch),
+        }
+    }
+}
+
+/// Dispatches each block to its kind-specific kernel.
+///
+/// `x`/`y` are flat `t_count·b` slabs keyed by row slot; `scratch` is
+/// re-zeroed by each kernel so it can be reused across blocks without
+/// reallocation.
+#[inline]
+fn run_blocks<'d, R: Rows<'d>>(
+    rows: R,
+    blocks: &[PlanBlock],
+    b: usize,
+    x: &[f64],
+    y: &mut [f64],
+    scratch: &mut [f64],
+) -> u64 {
+    let mut ternary = 0;
+    for blk in blocks {
+        let data = rows.block(blk.idx, blk.offset, blk.len);
+        let s = blk.slots;
+        ternary += match blk.kind {
+            BlockKind::OffDiagonal => off_diagonal(data, b, s, x, y, scratch),
+            BlockKind::NonCentralIIK => iik(data, b, s, x, y, scratch),
+            BlockKind::NonCentralIKK => ikk(data, b, s, x, y, scratch),
+            BlockKind::CentralDiagonal => central(data, b, s, x, y, scratch),
+        };
+    }
+    ternary
 }
 
 /// The shared chunked-parallel driver behind [`OwnedBlocks::compute_par`]
@@ -318,39 +545,14 @@ where
     ternary
 }
 
-/// Dispatches one block's data to its kind-specific flat kernel.
-///
-/// `x`/`y` are flat `t_count·b` slabs keyed by row slot (`slots` holds the
-/// precomputed slots of the block's `(i, j, k)` rows); `scratch` is a
-/// caller-provided `3b`-word buffer, re-zeroed here so it can be reused
-/// across blocks without reallocation. Returns the block's exact ternary
-/// count.
-#[inline]
-pub(crate) fn block_kernel_flat(
-    kind: BlockKind,
-    data: &[f64],
-    b: usize,
-    slots: [usize; 3],
-    x: &[f64],
-    y: &mut [f64],
-    scratch: &mut [f64],
-) -> u64 {
-    match kind {
-        BlockKind::OffDiagonal => off_diagonal_flat(data, b, slots, x, y, scratch),
-        BlockKind::NonCentralIIK => iik_flat(data, b, slots, x, y, scratch),
-        BlockKind::NonCentralIKK => ikk_flat(data, b, slots, x, y, scratch),
-        BlockKind::CentralDiagonal => central_flat(data, b, slots, x, y, scratch),
-    }
-}
-
 /// Off-diagonal block: all global indices strictly ordered, so every element
 /// performs the full 3-update with symmetry factor 2 (3 ternary mults in the
 /// model). The inner loop is one fused contiguous pass over `lk`: the
 /// `y_K` update and the `Σ_k a·x_k` dot product share a single load of the
 /// tensor element.
 #[inline]
-fn off_diagonal_flat(
-    data: &[f64],
+fn off_diagonal<'d, R: Rows<'d>>(
+    rows: R,
     b: usize,
     slots: [usize; 3],
     x: &[f64],
@@ -368,7 +570,7 @@ fn off_diagonal_flat(
     let xk = &x[pk * b..pk * b + b];
     for (li, &xia) in xi.iter().enumerate() {
         for (lj, &xjb) in xj.iter().enumerate() {
-            let row = &data[(li * b + lj) * b..(li * b + lj) * b + b];
+            let row = rows.row((li * b + lj) * b, li, lj, b);
             let pref = 2.0 * xia * xjb;
             let mut dot_k = 0.0;
             for ((&v, &xkv), ykv) in row.iter().zip(xk).zip(yk_local.iter_mut()) {
@@ -387,8 +589,8 @@ fn off_diagonal_flat(
 
 /// Non-central (I, I, K): elements `(gi+li, gi+lj, gk+lk)` with `li ≥ lj`.
 #[inline]
-fn iik_flat(
-    data: &[f64],
+fn iik<'d, R: Rows<'d>>(
+    rows: R,
     b: usize,
     slots: [usize; 3],
     x: &[f64],
@@ -406,7 +608,7 @@ fn iik_flat(
     let mut pos = 0;
     for li in 0..b {
         for lj in 0..=li {
-            let row = &data[pos..pos + b];
+            let row = rows.row(pos, li, lj, b);
             pos += b;
             if li != lj {
                 // Global i > j > k: full 3-update.
@@ -443,8 +645,8 @@ fn iik_flat(
 /// `lk < lj` run shares one pass between the `y_K` update and the dot
 /// product, with the `lj == lk` diagonal element peeled as an epilogue.
 #[inline]
-fn ikk_flat(
-    data: &[f64],
+fn ikk<'d, R: Rows<'d>>(
+    rows: R,
     b: usize,
     slots: [usize; 3],
     x: &[f64],
@@ -461,11 +663,10 @@ fn ikk_flat(
     let tri_len = b * (b + 1) / 2;
     let mut ternary = 0u64;
     for (li, &xia) in xi.iter().enumerate() {
-        let slab = &data[li * tri_len..(li + 1) * tri_len];
-        let mut pos = 0;
+        let mut pos = li * tri_len;
         let mut yi_row = 0.0;
         for (lj, &xjb) in xk.iter().enumerate() {
-            let row = &slab[pos..pos + lj + 1];
+            let row = rows.row(pos, li, lj, lj + 1);
             pos += lj + 1;
             // Strict lk < lj (global i > j > k): fused 3-update.
             let pref = 2.0 * xia * xjb;
@@ -496,8 +697,8 @@ fn ikk_flat(
 /// packed row to [`row_segment`] — literally the same inner loop as the
 /// flat-slab sequential kernel in `core::seq`.
 #[inline]
-fn central_flat(
-    data: &[f64],
+fn central<'d, R: Rows<'d>>(
+    rows: R,
     b: usize,
     slots: [usize; 3],
     x: &[f64],
@@ -513,7 +714,7 @@ fn central_flat(
     for li in 0..b {
         for lj in 0..=li {
             debug_assert_eq!(pos, tet_idx(li, lj, 0));
-            ternary += row_segment(&data[pos..pos + lj + 1], li, lj, 0, xi, yi_local);
+            ternary += row_segment(rows.row(pos, li, lj, lj + 1), li, lj, 0, xi, yi_local);
             pos += lj + 1;
         }
     }

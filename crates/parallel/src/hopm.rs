@@ -110,9 +110,10 @@ pub fn parallel_shifted_hopm_mt(
 }
 
 /// [`parallel_shifted_hopm_mt`] running on compiled rank plans
-/// ([`RankContext::with_plan`]): each rank compiles its plan over its owned
-/// blocks' arena once, before the first iteration, and every subsequent
-/// STTSV runs allocation-free over preallocated flat slabs. The iteration
+/// ([`RankContext::with_plan`]): each rank compiles its plan once, before
+/// the first iteration; the first STTSV reads the tensor rows in place, the
+/// second builds the rank's arena, and every later STTSV runs
+/// allocation-free over it and preallocated flat slabs. The iteration
 /// trajectory is bit-identical to the legacy path at every thread count;
 /// only the steady-state memory behaviour changes.
 #[allow(clippy::too_many_arguments)]

@@ -8,12 +8,14 @@
 //! lookups, per-block local accumulators. A [`RankPlan`] resolves
 //! everything once, at compile time:
 //!
-//! * **Shared block arena** — the plan holds a second handle to the
-//!   rank's [`OwnedBlocks`] arena (one `(i, j, k)`-sorted slab, built once
-//!   at ingest) rather than a copy of it, plus a per-block
-//!   offset / kind / slot table ([`PlanBlock`]). The `row_pos` lookup is
-//!   resolved *once* into precomputed x/y slot indices instead of being
-//!   dispatched per block per call.
+//! * **Shared block rows** — the plan holds a second handle to the rank's
+//!   [`OwnedBlocks`] row store rather than a copy of it, plus a per-block
+//!   index / offset / kind / slot table ([`PlanBlock`]). The rank's first
+//!   vector pass reads its rows in place from the packed tensor; its second
+//!   builds the one `(i, j, k)`-sorted arena that context and plan share,
+//!   and every later pass streams it. The `row_pos` lookup is resolved
+//!   *once* into precomputed x/y slot indices instead of being dispatched
+//!   per block per call.
 //! * **Flat exchange state** — one flat `x` slab and one flat `y` slab
 //!   (`batch · |R_p| · b` words each) replace the nested per-row-block
 //!   vectors, and every peer message's piece layout ([`PieceMeta`]) is
@@ -29,18 +31,19 @@
 //!
 //! The plan's kernels are the same flat register-tiled kernels as
 //! [`crate::blocks`] (shared down to the `row_segment` inner loop of
-//! `core::seq`), its pooled compute funnels through the same chunk
-//! decomposition and [`symtensor_pool::tree_reduce`] tree, and its message
-//! layouts byte-match the legacy exchange — so the plan path is
+//! `core::seq`; in-place and arena passes are bit-identical), its pooled
+//! compute funnels through the same chunk decomposition and
+//! [`symtensor_pool::tree_reduce`] tree, and its message layouts
+//! byte-match the legacy exchange — so the plan path is
 //! **bit-identical** to the legacy path across runs and thread counts, and
 //! its word/message/round counts are exactly the legacy ones.
 
 use crate::blocks::{
-    add_into, block_kernel_flat, chunked_compute_flat, OwnedBlocks, MAX_COMPUTE_CHUNKS,
+    add_into, chunked_compute_flat, OwnedBlocks, Pass, RowStore, MAX_COMPUTE_CHUNKS,
 };
 use crate::partition::TetraPartition;
 use crate::schedule::shared_row_blocks;
-use crate::tetra::BlockKind;
+use crate::tetra::{BlockIdx, BlockKind};
 use std::sync::Arc;
 use symtensor_pool::Pool;
 
@@ -60,9 +63,12 @@ pub enum BlockClass {
     MultiPeer,
 }
 
-/// One owned block inside the packed arena.
+/// One owned block and where its rows sit.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanBlock {
+    /// The block's (sorted) row-block triple: where its rows start in the
+    /// packed tensor.
+    pub idx: BlockIdx,
     /// Offset of the block's data within [`RankPlan::arena`].
     pub offset: usize,
     /// Stored words.
@@ -118,13 +124,13 @@ pub enum ExchangeKind {
 /// reused across every subsequent `sttsv` / `sttsv_multi` / HOPM
 /// iteration.
 #[derive(Clone, Debug)]
-pub struct RankPlan {
+pub struct RankPlan<'a> {
     rank: usize,
     b: usize,
     t_count: usize,
-    /// All owned block data, packed contiguously in `(i, j, k)` order —
-    /// the same allocation as the [`OwnedBlocks`] it was built from.
-    arena: Arc<Vec<f64>>,
+    /// Where the owned block rows live — the same store as the
+    /// [`OwnedBlocks`] the plan was built from.
+    store: Arc<RowStore<'a>>,
     blocks: Vec<PlanBlock>,
     /// Every peer (all ranks but this one), in rank order — matching the
     /// legacy all-to-all peer iteration.
@@ -156,28 +162,18 @@ pub struct RankPlan {
     row_writers: Vec<usize>,
 }
 
-impl RankPlan {
-    /// Compiles the plan for `rank`: shares `owned`'s arena (no copy),
+impl<'a> RankPlan<'a> {
+    /// Compiles the plan for `rank`: shares `owned`'s row store (no copy),
     /// resolves the slot table and precomputes every peer's message layout.
-    /// One-time cost; everything downstream is allocation-free reuse.
-    pub fn build(part: &TetraPartition, owned: &OwnedBlocks, rank: usize) -> Self {
+    /// One-time cost; everything downstream is allocation-free reuse once
+    /// the rank's second vector pass has built the arena.
+    pub fn build(part: &TetraPartition, owned: &OwnedBlocks<'a>, rank: usize) -> Self {
         let b = part.block_size();
         let rp = part.r_set(rank);
         let t_count = rp.len();
         let row_pos = |i: usize| rp.binary_search(&i).expect("owned row block in R_p");
-        let slots = owned.slot_table(&row_pos);
-        let blocks: Vec<PlanBlock> = owned
-            .blocks()
-            .iter()
-            .zip(&slots)
-            .map(|(blk, &s)| PlanBlock {
-                offset: blk.offset,
-                len: blk.len,
-                kind: blk.kind,
-                slots: s,
-            })
-            .collect();
-        let arena = owned.shared_arena();
+        let blocks = owned.plan_blocks(&row_pos);
+        let store = owned.shared_store();
 
         let my_shards: Vec<(usize, usize)> = rp
             .iter()
@@ -283,7 +279,7 @@ impl RankPlan {
             rank,
             b,
             t_count,
-            arena,
+            store,
             blocks,
             peers,
             peer_index,
@@ -304,18 +300,26 @@ impl RankPlan {
         self.rank
     }
 
-    /// Arena size in bytes (the `compute:kernel` span's
-    /// `plan:arena_bytes` counter).
+    /// Bytes of tensor rows each vector pass streams — the arena's size,
+    /// built or not (the `compute:kernel` span's `plan:arena_bytes`
+    /// counter).
     #[inline]
     pub fn arena_bytes(&self) -> usize {
-        self.arena.len() * std::mem::size_of::<f64>()
+        self.store.words() * std::mem::size_of::<f64>()
     }
 
-    /// The packed block data — the same allocation as the owning
-    /// context's [`OwnedBlocks::arena`].
+    /// The contiguous block data once the rank's second vector pass has
+    /// built it — the same allocation as the owning context's
+    /// [`OwnedBlocks::arena`]; `None` while rows are read in place.
     #[inline]
-    pub fn arena(&self) -> &[f64] {
-        &self.arena
+    pub fn arena(&self) -> Option<&[f64]> {
+        self.store.arena()
+    }
+
+    /// Claims `vectors` vector passes and returns their row source; the
+    /// first pass to need the arena builds it.
+    fn pass(&self, vectors: usize) -> Pass<'_> {
+        self.store.pass(vectors, self.blocks.iter().map(|blk| blk.idx))
     }
 
     /// Number of packed blocks.
@@ -413,7 +417,7 @@ impl RankPlan {
     /// Read-only view of output slab `v` (`|R_p| · b` words, row-slot
     /// major) — the pre-reduce picture, for the same callers as
     /// [`RankPlan::load_full`].
-    pub fn output_slab<'a>(&self, ws: &'a PlanWorkspace, v: usize) -> &'a [f64] {
+    pub fn output_slab<'w>(&self, ws: &'w PlanWorkspace, v: usize) -> &'w [f64] {
         &ws.y[v * self.stride()..(v + 1) * self.stride()]
     }
 
@@ -480,7 +484,7 @@ impl RankPlan {
         ws.bufs.push(buf);
     }
 
-    /// Runs the local kernels over the packed arena for slabs `0..batch`:
+    /// Runs the local kernels for slabs `0..batch`, one vector pass each:
     /// zeroes the `y` slabs (a `fill`, not an allocation) and dispatches
     /// each [`PlanBlock`] to the shared flat kernels. With a pool, each
     /// vector funnels through the same chunk decomposition, workspace
@@ -500,56 +504,28 @@ impl RankPlan {
     /// driver can time and request-annotate each vector of a batch
     /// individually. Zeroes slab `v` of `y` (a `fill`, not an allocation)
     /// before accumulating; results are bit-identical to the batched form.
-    /// Returns the exact ternary-multiplication count.
+    /// One vector pass, its row source chosen before any pool chunk is
+    /// dispatched. Returns the exact ternary-multiplication count.
     pub fn compute_vector(&self, ws: &mut PlanWorkspace, v: usize, pool: Option<&Pool>) -> u64 {
         let stride = self.stride();
         let b = self.b;
         let PlanWorkspace { x, y, scratch, .. } = ws;
-        let mut ternary = 0u64;
-        {
-            let xv = &x[v * stride..(v + 1) * stride];
-            let yv = &mut y[v * stride..(v + 1) * stride];
-            yv.fill(0.0);
-            match pool {
-                None => {
-                    for blk in &self.blocks {
-                        ternary += block_kernel_flat(
-                            blk.kind,
-                            &self.arena[blk.offset..blk.offset + blk.len],
-                            b,
-                            blk.slots,
-                            xv,
-                            yv,
-                            scratch,
-                        );
-                    }
-                }
-                Some(pool) => {
-                    ternary += chunked_compute_flat(
-                        self.blocks.len(),
-                        b,
-                        yv,
-                        pool,
-                        |range, partial, chunk_scratch| {
-                            let mut t = 0u64;
-                            for blk in &self.blocks[range] {
-                                t += block_kernel_flat(
-                                    blk.kind,
-                                    &self.arena[blk.offset..blk.offset + blk.len],
-                                    b,
-                                    blk.slots,
-                                    xv,
-                                    partial,
-                                    chunk_scratch,
-                                );
-                            }
-                            t
-                        },
-                    );
-                }
-            }
+        let xv = &x[v * stride..(v + 1) * stride];
+        let yv = &mut y[v * stride..(v + 1) * stride];
+        yv.fill(0.0);
+        let pass = self.pass(1);
+        match pool {
+            None => pass.run(&self.blocks, b, xv, yv, scratch),
+            Some(pool) => chunked_compute_flat(
+                self.blocks.len(),
+                b,
+                yv,
+                pool,
+                |range, partial, chunk_scratch| {
+                    pass.run(&self.blocks[range], b, xv, partial, chunk_scratch)
+                },
+            ),
         }
-        ternary
     }
 
     /// Per-block gather-dependency classification, in arena order.
@@ -579,7 +555,10 @@ impl RankPlan {
     }
 
     /// Creates the runtime readiness state for one overlapped STTSV
-    /// invocation over `batch` vectors. `pooled` must match the `pool`
+    /// invocation over `batch` vectors, claiming its `batch` vector passes:
+    /// the invocation reads rows in place only if it is the rank's first
+    /// pass and a lone vector, and otherwise builds the arena here, before
+    /// any block runs. `pooled` must match the `pool`
     /// argument of the subsequent [`RankPlan::compute_overlapped`] /
     /// [`RankPlan::finish_overlapped`] calls: without a pool the
     /// overlapped compute extends the arena-order prefix block by block;
@@ -588,6 +567,7 @@ impl RankPlan {
     /// bit — matches the barrier path.
     pub fn overlap_state(&self, batch: usize, pooled: bool) -> OverlapState {
         let batch = batch.max(1);
+        self.pass(batch);
         let n = self.blocks.len();
         let block_pending = self.block_deps.clone();
         let mut chunk_of = None;
@@ -727,6 +707,7 @@ impl RankPlan {
                     let b = self.b;
                     let wsp = pool.workspaces();
                     let x = &ws.x;
+                    let pass = self.store.current();
                     let results = pool.run_chunks(tail.len(), |i| {
                         let c = tail[i];
                         let mut bufs = Vec::with_capacity(batch);
@@ -735,6 +716,7 @@ impl RankPlan {
                             let mut buf = wsp.lease_zeroed(stride + 3 * b);
                             let (partial, chunk_scratch) = buf.split_at_mut(stride);
                             ternary += self.run_chunk(
+                                pass,
                                 c,
                                 chunk_count,
                                 &x[v * stride..(v + 1) * stride],
@@ -791,14 +773,14 @@ impl RankPlan {
         let stride = self.stride();
         let b = self.b;
         let PlanWorkspace { x, y, scratch, .. } = ws;
+        let pass = self.store.current();
         while st.next_block < self.blocks.len() && st.block_pending[st.next_block] == 0 {
             let bi = st.next_block;
-            let blk = &self.blocks[bi];
-            let data = &self.arena[blk.offset..blk.offset + blk.len];
+            let blk = &self.blocks[bi..bi + 1];
             for v in 0..st.batch {
                 let xv = &x[v * stride..(v + 1) * stride];
                 let yv = &mut y[v * stride..(v + 1) * stride];
-                st.ternary += block_kernel_flat(blk.kind, data, b, blk.slots, xv, yv, scratch);
+                st.ternary += pass.run(blk, b, xv, yv, scratch);
             }
             st.next_block += 1;
             st.computed += 1;
@@ -813,11 +795,13 @@ impl RankPlan {
         let b = self.b;
         let ready = std::mem::take(&mut st.ready_chunks);
         let wsp = pool.workspaces();
+        let pass = self.store.current();
         for c in ready {
             for v in 0..st.batch {
                 let mut buf = wsp.lease_zeroed(stride + 3 * b);
                 let (partial, chunk_scratch) = buf.split_at_mut(stride);
                 st.ternary += self.run_chunk(
+                    pass,
                     c,
                     st.chunks,
                     &ws.x[v * stride..(v + 1) * stride],
@@ -836,6 +820,7 @@ impl RankPlan {
     /// [`chunked_compute_flat`]).
     fn run_chunk(
         &self,
+        pass: Pass<'_>,
         c: usize,
         chunks: usize,
         xv: &[f64],
@@ -845,19 +830,7 @@ impl RankPlan {
         let n = self.blocks.len();
         let lo = c * n / chunks;
         let hi = (c + 1) * n / chunks;
-        let mut ternary = 0u64;
-        for blk in &self.blocks[lo..hi] {
-            ternary += block_kernel_flat(
-                blk.kind,
-                &self.arena[blk.offset..blk.offset + blk.len],
-                self.b,
-                blk.slots,
-                xv,
-                partial,
-                scratch,
-            );
-        }
-        ternary
+        pass.run(&self.blocks[lo..hi], self.b, xv, partial, scratch)
     }
 
     /// Bookkeeping after a block finished for all batch vectors: count
@@ -1038,31 +1011,38 @@ mod tests {
     use super::*;
     use crate::partition::TetraPartition;
     use symtensor_core::generate::random_symmetric;
+    use symtensor_core::SymTensor3;
     use symtensor_steiner::spherical;
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn plan_for(n: usize, q: u64, rank: usize) -> (TetraPartition, OwnedBlocks, RankPlan) {
+    /// The partition and tensor a plan for `rank` is built over.
+    fn fixture(n: usize, q: u64, rank: usize) -> (TetraPartition, SymTensor3) {
         let part = TetraPartition::new(spherical(q), n).unwrap();
         let mut rng = StdRng::seed_from_u64(1000 + rank as u64);
-        let tensor = random_symmetric(n, &mut rng);
-        let owned = OwnedBlocks::extract(&tensor, &part, rank);
-        let plan = RankPlan::build(&part, &owned, rank);
-        (part, owned, plan)
+        (part, random_symmetric(n, &mut rng))
     }
 
     #[test]
     fn arena_is_contiguous_and_complete() {
-        let (_part, owned, plan) = plan_for(30, 2, 3);
-        assert_eq!(plan.arena.len(), owned.words());
+        let (part, tensor) = fixture(30, 2, 3);
+        let owned = OwnedBlocks::extract(&tensor, &part, 3);
+        let plan = RankPlan::build(&part, &owned, 3);
+        assert!(plan.arena().is_none(), "no pass has run, so no arena exists");
+        let in_place: Vec<Vec<f64>> =
+            owned.blocks().iter().map(|ob| owned.rows(ob).flatten().copied().collect()).collect();
+        let mut ws = PlanWorkspace::new();
+        plan.ensure_capacity(&mut ws, 2);
+        plan.compute(&mut ws, 2, None);
+        let arena = plan.arena().expect("the second vector pass builds the arena");
+        assert_eq!(arena.len(), owned.words());
         assert_eq!(plan.block_count(), owned.blocks().len());
         let mut expected_offset = 0;
-        for (pb, ob) in plan.blocks.iter().zip(owned.blocks()) {
+        for ((pb, ob), rows) in plan.blocks.iter().zip(owned.blocks()).zip(&in_place) {
             assert_eq!(pb.offset, expected_offset, "blocks are packed back-to-back");
-            assert_eq!(pb.len, ob.len);
-            assert_eq!(pb.kind, ob.kind);
-            assert_eq!(&plan.arena[pb.offset..pb.offset + pb.len], owned.data(ob));
+            assert_eq!((pb.idx, pb.len, pb.kind), (ob.idx, ob.len, ob.kind));
+            assert_eq!(&arena[pb.offset..pb.offset + pb.len], rows.as_slice());
             expected_offset += pb.len;
         }
         assert!(plan.arena_bytes() == owned.words() * 8);
@@ -1070,7 +1050,8 @@ mod tests {
 
     #[test]
     fn peer_layout_matches_partition_shards() {
-        let (part, _owned, plan) = plan_for(30, 2, 0);
+        let (part, tensor) = fixture(30, 2, 0);
+        let plan = RankPlan::build(&part, &OwnedBlocks::extract(&tensor, &part, 0), 0);
         let rp = part.r_set(0);
         // Every non-self rank appears exactly once, in order.
         let peer_ranks: Vec<usize> = plan.peers().iter().map(|pp| pp.peer).collect();
@@ -1093,7 +1074,8 @@ mod tests {
 
     #[test]
     fn readiness_partition_covers_every_block() {
-        let (_part, _owned, plan) = plan_for(30, 2, 2);
+        let (part, tensor) = fixture(30, 2, 2);
+        let plan = RankPlan::build(&part, &OwnedBlocks::extract(&tensor, &part, 2), 2);
         let (owned_only, single, multi) = plan.readiness_histogram();
         assert_eq!(owned_only + single + multi, plan.block_count());
         // peer_unlocks inverts block_deps: each block appears in exactly
@@ -1119,7 +1101,8 @@ mod tests {
     fn overlapped_compute_is_bitwise_identical_to_barrier() {
         use rand::Rng;
         for (threads, batch) in [(0usize, 1usize), (0, 3), (3, 1), (3, 2)] {
-            let (_part, _owned, plan) = plan_for(30, 2, 1);
+            let (part, tensor) = fixture(30, 2, 1);
+            let plan = RankPlan::build(&part, &OwnedBlocks::extract(&tensor, &part, 1), 1);
             let pool = (threads > 0).then(|| Pool::new(threads));
             let mut rng = StdRng::seed_from_u64(42 + threads as u64);
             let x_full: Vec<Vec<Vec<f64>>> = (0..batch)
@@ -1181,7 +1164,8 @@ mod tests {
 
     #[test]
     fn workspace_buffers_grow_at_most_once() {
-        let (_part, _owned, plan) = plan_for(30, 2, 1);
+        let (part, tensor) = fixture(30, 2, 1);
+        let plan = RankPlan::build(&part, &OwnedBlocks::extract(&tensor, &part, 1), 1);
         let mut ws = PlanWorkspace::new();
         plan.ensure_capacity(&mut ws, 2);
         let after_sizing = ws.fresh_allocs();

@@ -17,12 +17,14 @@ use symtensor_mpsim::{CostReport, Universe};
 const TAG_SCATTER_T: u64 = 21 << 40;
 const TAG_SCATTER_X: u64 = 22 << 40;
 
-/// Per-rank scatter result: the rank's tensor blocks and its `x` shards.
-pub type ScatteredRank = (OwnedBlocks, Vec<Vec<f64>>);
+/// Per-rank scatter result: the rank's tensor blocks, which own their
+/// arena, and its `x` shards.
+pub type ScatteredRank = (OwnedBlocks<'static>, Vec<Vec<f64>>);
 
 /// Scatters the tensor blocks and `x` shards from rank 0; every rank ends
-/// with its [`OwnedBlocks`] and shard vector. Returns the per-rank results
-/// and the scatter's cost report.
+/// with its [`OwnedBlocks`] (holding its own arena, no borrow of the
+/// tensor) and shard vector. Returns the per-rank results and the
+/// scatter's cost report.
 pub fn scatter_from_root(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -39,8 +41,9 @@ pub fn scatter_from_root(
             if p == 0 {
                 // Root: extract and ship every other rank's data.
                 for dst in 1..p_count {
-                    // Ship the rank's whole arena as one message (the block
-                    // layout is deterministic, so the receiver adopts it).
+                    // Ship the rank's whole arena as one message, packed
+                    // with the arena's run copies (the block layout is
+                    // deterministic, so the receiver adopts it).
                     let payload = OwnedBlocks::extract(tensor, part, dst).into_arena();
                     comm.send(dst, TAG_SCATTER_T, payload);
                     let shards: Vec<f64> = part
@@ -54,7 +57,8 @@ pub fn scatter_from_root(
                         .collect();
                     comm.send(dst, TAG_SCATTER_X, shards);
                 }
-                let owned = OwnedBlocks::extract(tensor, part, 0);
+                let arena = OwnedBlocks::extract(tensor, part, 0).into_arena();
+                let owned = OwnedBlocks::from_arena(part, 0, arena).expect("root arena length");
                 let shards = local_shards(part, 0, x);
                 (owned, shards)
             } else {
@@ -105,7 +109,8 @@ mod tests {
         for (p, (owned, shards)) in results.iter().enumerate() {
             let reference = OwnedBlocks::extract(&tensor, &part, p);
             assert_eq!(owned.blocks(), reference.blocks(), "rank {p}");
-            assert_eq!(owned.arena(), reference.arena(), "rank {p}");
+            let arena = owned.arena().expect("a scattered rank owns its arena");
+            assert_eq!(arena, reference.into_arena().as_slice(), "rank {p}");
             let want_shards = local_shards(&part, p, &x);
             assert_eq!(shards, &want_shards, "rank {p} shards");
         }

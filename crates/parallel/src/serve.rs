@@ -50,12 +50,29 @@ impl ServeRequest {
     }
 }
 
-/// A structured serving-layer error — invalid configurations return this
-/// instead of panicking deep inside the batch loop.
+/// A structured serving-layer error — invalid configurations and inputs
+/// return this, before any rank is spawned, instead of panicking deep
+/// inside the batch loop.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// `batch_cap == 0`: the batch loop could never make progress.
     ZeroBatchCap,
+    /// A request's vector does not have the partition's dimension.
+    DimensionMismatch {
+        /// The request's id.
+        id: u64,
+        /// Entries in its vector.
+        len: usize,
+        /// The partition's dimension.
+        expected: usize,
+    },
+    /// The tensor's dimension differs from the partition's.
+    TensorDimension {
+        /// The tensor's dimension.
+        tensor: usize,
+        /// The partition's dimension.
+        part: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -64,11 +81,37 @@ impl std::fmt::Display for ServeError {
             ServeError::ZeroBatchCap => {
                 write!(f, "batch capacity must be positive (got 0)")
             }
+            ServeError::DimensionMismatch { id, len, expected } => {
+                write!(f, "request {id} has dimension {len}, expected {expected}")
+            }
+            ServeError::TensorDimension { tensor, part } => {
+                write!(f, "tensor dimension {tensor} does not match the partition's {part}")
+            }
         }
     }
 }
 
 impl std::error::Error for ServeError {}
+
+/// The checks every serving driver makes before it spawns a rank.
+fn validate(
+    tensor: &SymTensor3,
+    part: &TetraPartition,
+    requests: &[ServeRequest],
+    batch_cap: usize,
+) -> Result<(), ServeError> {
+    if batch_cap == 0 {
+        return Err(ServeError::ZeroBatchCap);
+    }
+    let n = part.dim();
+    if tensor.dim() != n {
+        return Err(ServeError::TensorDimension { tensor: tensor.dim(), part: n });
+    }
+    match requests.iter().find(|r| r.x.len() != n) {
+        Some(r) => Err(ServeError::DimensionMismatch { id: r.id, len: r.x.len(), expected: n }),
+        None => Ok(()),
+    }
+}
 
 /// The measured latency decomposition of one served request. All values
 /// are straggler-merged across ranks: a span is the slowest rank's,
@@ -252,8 +295,10 @@ impl ServeTelemetry<'_> {
 /// Requests are carried in submission order, `batch_cap` per batch (the
 /// last batch may be smaller). `threads > 1` attaches a worker [`Pool`]
 /// per rank, whose workspace leases are tagged with the running request's
-/// id. Returns [`ServeError::ZeroBatchCap`] when `batch_cap == 0`;
-/// panics if any vector has the wrong dimension.
+/// id. Returns [`ServeError::ZeroBatchCap`] when `batch_cap == 0`,
+/// [`ServeError::TensorDimension`] when the tensor does not fit the
+/// partition and [`ServeError::DimensionMismatch`] for the first request
+/// whose vector has the wrong length — all before any rank is spawned.
 pub fn parallel_sttsv_serve(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -283,14 +328,8 @@ pub fn parallel_sttsv_serve_with(
     batch_cap: usize,
     telemetry: Option<&Arc<TelemetryPlane>>,
 ) -> Result<ServeRun, ServeError> {
-    if batch_cap == 0 {
-        return Err(ServeError::ZeroBatchCap);
-    }
+    validate(tensor, part, requests, batch_cap)?;
     let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for r in requests {
-        assert_eq!(r.x.len(), n, "request {} has wrong dimension", r.id);
-    }
     let p_count = part.num_procs();
     let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
     let batches: Vec<&[ServeRequest]> = requests.chunks(batch_cap).collect();
@@ -384,14 +423,8 @@ pub fn parallel_sttsv_serve_pipelined(
     threads: usize,
     batch_cap: usize,
 ) -> Result<ServeRun, ServeError> {
-    if batch_cap == 0 {
-        return Err(ServeError::ZeroBatchCap);
-    }
+    validate(tensor, part, requests, batch_cap)?;
     let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for r in requests {
-        assert_eq!(r.x.len(), n, "request {} has wrong dimension", r.id);
-    }
     let p_count = part.num_procs();
     let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
     let batches: Vec<&[ServeRequest]> = requests.chunks(batch_cap).collect();
@@ -531,14 +564,8 @@ pub fn parallel_sttsv_serve_chaos_with(
     telemetry: Option<&Arc<TelemetryPlane>>,
     mut slo: Option<&mut SloBurnRate>,
 ) -> Result<ServeRun, ServeError> {
-    if batch_cap == 0 {
-        return Err(ServeError::ZeroBatchCap);
-    }
+    validate(tensor, part, requests, batch_cap)?;
     let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for r in requests {
-        assert_eq!(r.x.len(), n, "request {} has wrong dimension", r.id);
-    }
     let p_count = part.num_procs();
     let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
     let batches: Vec<&[ServeRequest]> = requests.chunks(batch_cap).collect();

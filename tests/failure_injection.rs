@@ -3,9 +3,10 @@
 //! silent hangs or wrong answers.
 
 use std::time::Duration;
-use symtensor_mpsim::{CommError, Universe};
+use symtensor_mpsim::{CommError, FaultPlan, Universe};
 use symtensor_parallel::{
-    parallel_sttsv, parallel_sttsv_serve, Mode, ServeError, ServeRequest, TetraPartition,
+    parallel_sttsv, parallel_sttsv_serve, parallel_sttsv_serve_chaos,
+    parallel_sttsv_serve_pipelined, ChaosPolicy, Mode, ServeError, ServeRequest, TetraPartition,
 };
 use symtensor_steiner::{spherical, sqs8, SteinerSystem};
 
@@ -77,6 +78,38 @@ fn zero_batch_cap_is_a_structured_error() {
     let err = parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 1, 0).unwrap_err();
     assert_eq!(err, ServeError::ZeroBatchCap);
     assert!(format!("{err}").contains("batch capacity"));
+}
+
+#[test]
+fn wrong_length_request_is_a_structured_error() {
+    // Regression: a wrong-length request used to panic the whole serve
+    // run; now every serving driver rejects it before spawning a rank.
+    let part = TetraPartition::new(spherical(2), 30).unwrap();
+    let tensor = symtensor_core::SymTensor3::zeros(30);
+    let requests = vec![ServeRequest::new(0, vec![0.0; 30]), ServeRequest::new(7, vec![0.0; 29])];
+    let want = ServeError::DimensionMismatch { id: 7, len: 29, expected: 30 };
+    let policy = ChaosPolicy::new(FaultPlan::seeded(1));
+    let runs = [
+        std::panic::catch_unwind(|| {
+            parallel_sttsv_serve(&tensor, &part, &requests, Mode::Scheduled, 1, 4)
+        }),
+        std::panic::catch_unwind(|| {
+            parallel_sttsv_serve_pipelined(&tensor, &part, &requests, Mode::Scheduled, 1, 4)
+        }),
+        std::panic::catch_unwind(|| {
+            parallel_sttsv_serve_chaos(&tensor, &part, &requests, Mode::Scheduled, 1, 4, &policy)
+        }),
+    ];
+    for (driver, run) in runs.into_iter().enumerate() {
+        let err = run.expect("a wrong-length request must not panic").unwrap_err();
+        assert_eq!(err, want, "driver {driver}");
+        assert!(format!("{err}").contains("request 7"), "driver {driver}: {err}");
+    }
+    // A tensor that does not fit the partition is rejected the same way.
+    let small = symtensor_core::SymTensor3::zeros(25);
+    let err =
+        parallel_sttsv_serve(&small, &part, &requests[..1], Mode::Scheduled, 1, 4).unwrap_err();
+    assert_eq!(err, ServeError::TensorDimension { tensor: 25, part: 30 });
 }
 
 #[test]
