@@ -39,7 +39,7 @@ fn main() {
                 ("alltoall_sparse", Mode::AllToAllSparse),
             ] {
                 let run = if sink.enabled() {
-                    let (run, traces) = parallel_sttsv_traced(&tensor, &part, &x, mode);
+                    let (run, traces, _) = parallel_sttsv_traced(&tensor, &part, &x, mode, 1);
                     sink.record(
                         format!("sweep q={q} n={n} {label}"),
                         RunObservation::new(run.report.clone(), traces),

@@ -30,9 +30,7 @@ use symtensor_obs::{
     StragglerReport,
 };
 use symtensor_parallel::schedule::spherical_round_count;
-use symtensor_parallel::{
-    bounds, parallel_sttsv_traced_flight, CommSchedule, Mode, TetraPartition,
-};
+use symtensor_parallel::{bounds, parallel_sttsv_traced, CommSchedule, Mode, TetraPartition};
 use symtensor_steiner::spherical;
 
 fn main() {
@@ -84,7 +82,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(4242);
     let tensor = random_symmetric(n, &mut rng);
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
-    let (run, traces, flight) = parallel_sttsv_traced_flight(&tensor, &part, &x, mode);
+    let (run, traces, flight) = parallel_sttsv_traced(&tensor, &part, &x, mode, 1);
     let obs = RunObservation::new(run.report.clone(), traces);
 
     // Per-phase breakdown (top-level spans partition the totals exactly).

@@ -796,7 +796,7 @@ mod tests {
     #[test]
     fn overlapped_replay_shifts_gather_wait_into_hidden() {
         use symtensor_parallel::{
-            parallel_sttsv_overlapped_traced, parallel_sttsv_planned_traced, Mode, TetraPartition,
+            parallel_sttsv_overlapped_traced, parallel_sttsv_traced, Mode, TetraPartition,
         };
         use symtensor_steiner::spherical;
         // One barrier and one overlapped run of the same problem at each q —
@@ -817,8 +817,8 @@ mod tests {
                 }
             }
             let x: Vec<f64> = (0..n).map(|i| ((i * 5 + 2) as f64 * 0.01).cos()).collect();
-            let (b_run, b_traces) =
-                parallel_sttsv_planned_traced(&tensor, &part, &x, Mode::Scheduled, 1);
+            let (b_run, b_traces, _) =
+                parallel_sttsv_traced(&tensor, &part, &x, Mode::Scheduled, 1);
             let (o_run, o_traces) =
                 parallel_sttsv_overlapped_traced(&tensor, &part, &x, Mode::Scheduled, 1);
             assert_eq!(o_run.y, b_run.y, "A/B must compare identical computations");

@@ -301,7 +301,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        let (_, traces) = parallel_sttsv_traced(&tensor, &part, &x, Mode::Scheduled);
+        let (_, traces, _) = parallel_sttsv_traced(&tensor, &part, &x, Mode::Scheduled, 1);
 
         let all = spans(&traces);
         // Every rank opens exactly one compute:kernel span, nested at depth
@@ -364,7 +364,7 @@ mod tests {
 
         let (_, _, traces) = Universe::new(part.num_procs()).run_traced(|comm| {
             let p = comm.rank();
-            let ctx = RankContext::new(&tensor, &part, p, Mode::AllToAllSparse, None).with_plan();
+            let ctx = RankContext::new(&tensor, &part, p, Mode::AllToAllSparse, None);
             let mut shards: Vec<Vec<f64>> = part
                 .r_set(p)
                 .iter()

@@ -26,7 +26,7 @@
 use crate::blocks::OwnedBlocks;
 use crate::partition::TetraPartition;
 use crate::plan::{ExchangeKind, PlanWorkspace, RankPlan};
-use crate::schedule::{shared_row_blocks, CommSchedule};
+use crate::schedule::CommSchedule;
 use std::cell::{OnceCell, RefCell};
 use symtensor_core::SymTensor3;
 use symtensor_mpsim::{AllToAllEvent, Comm, CommEvent, CostReport, FlightSnapshot, Universe};
@@ -62,7 +62,9 @@ const TAG_X: u64 = 1 << 40;
 const TAG_Y: u64 = 2 << 40;
 
 /// Everything one rank needs to run STTSV repeatedly (the tensor blocks are
-/// resolved once and reused across iterations, e.g. by HOPM).
+/// resolved once and reused across iterations, e.g. by HOPM). Every
+/// contraction runs on the rank's compiled [`RankPlan`], built on first use
+/// ([`RankContext::compile`]).
 pub struct RankContext<'a> {
     /// The shared data distribution.
     pub part: &'a TetraPartition,
@@ -77,9 +79,6 @@ pub struct RankContext<'a> {
     /// (see [`RankContext::with_pool`]); `None` runs the sequential
     /// kernels.
     pub pool: Option<&'a Pool>,
-    /// Whether `sttsv`/`sttsv_multi` route through the compiled rank plan
-    /// (see [`RankContext::with_plan`]).
-    use_plan: bool,
     /// The lazily compiled plan (see [`RankContext::compile`]).
     plan: OnceCell<RankPlan<'a>>,
     /// The plan's reusable flat slabs and recycled message buffers.
@@ -122,38 +121,31 @@ impl<'a> RankContext<'a> {
             mode,
             schedule,
             pool: None,
-            use_plan: false,
             plan: OnceCell::new(),
             plan_ws: RefCell::new(PlanWorkspace::new()),
         }
     }
 
     /// Attaches a shared-memory worker pool: the local-compute phase then
-    /// runs [`OwnedBlocks::compute_par`] across the pool's threads (results
-    /// bit-identical across thread counts) instead of the sequential
-    /// kernels. This is the node-level `threads` knob below the simulated
-    /// distributed machine.
+    /// runs the plan's kernels across the pool's threads (results
+    /// bit-identical across thread counts) instead of sequentially. This is
+    /// the node-level `threads` knob below the simulated distributed
+    /// machine.
     pub fn with_pool(mut self, pool: &'a Pool) -> Self {
         self.pool = Some(pool);
         self
     }
 
-    /// Routes every subsequent [`RankContext::sttsv`] /
-    /// [`RankContext::sttsv_multi`] call through the compiled rank plan:
-    /// the first call invokes [`RankContext::compile`] lazily (sharing the
-    /// owned blocks' row store and precomputing every message layout), and
-    /// the steady state after the arena-building second vector pass
-    /// performs zero heap allocations. Results are
-    /// **bit-identical** to the legacy path, and word/message/round counts
-    /// are unchanged.
-    pub fn with_plan(mut self) -> Self {
-        self.use_plan = true;
+    /// Returns the context unchanged. Every contraction already runs on the
+    /// compiled rank plan, so there is nothing left to switch on; the
+    /// method remains so that existing builder chains keep compiling.
+    pub fn with_plan(self) -> Self {
         self
     }
 
     /// Compiles (on first call) and returns this rank's [`RankPlan`]; all
-    /// later calls — and every plan-routed `sttsv`/`sttsv_multi`/HOPM
-    /// iteration — reuse it.
+    /// later calls — and every `sttsv`/`sttsv_multi`/HOPM iteration —
+    /// reuse it.
     pub fn compile(&self, rank: usize) -> &RankPlan<'a> {
         let plan = self.plan.get_or_init(|| RankPlan::build(self.part, &self.owned, rank));
         assert_eq!(plan.rank(), rank, "one RankContext serves one rank");
@@ -171,97 +163,20 @@ impl<'a> RankContext<'a> {
         self.plan_ws.borrow().fresh_allocs()
     }
 
-    /// Runs the local ternary-multiplication kernels, on the attached pool
-    /// if any, inside a nested `compute:kernel` phase span (so traces show
-    /// the pure kernel time within the enclosing `local-compute` phase).
-    fn local_kernels(&self, comm: &Comm, x_full: &[Vec<f64>], y_acc: &mut [Vec<f64>]) -> u64 {
-        let part = self.part;
-        let p = comm.rank();
-        let rp = part.r_set(p);
-        comm.with_phase("compute:kernel", || match self.pool {
-            Some(pool) => {
-                self.owned.compute_par(x_full, y_acc, |i| rp.binary_search(&i).unwrap(), pool)
-            }
-            None => self.owned.compute(x_full, y_acc, |i| rp.binary_search(&i).unwrap()),
-        })
-    }
-
     /// One distributed STTSV: `my_shards[t]` is this rank's shard of row
     /// block `R_p[t]` of `x`; returns this rank's shards of `y` (same
     /// keying) and the ternary-multiplication count.
+    ///
+    /// The first call compiles the plan; once the rank's second vector pass
+    /// has built its arena, every phase runs in the plan's flat slabs and
+    /// recycled buffers with zero heap allocations (only the returned shard
+    /// vectors are fresh; use [`RankContext::sttsv_into`] to avoid even
+    /// those).
     pub fn sttsv(&self, comm: &Comm, my_shards: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-        if self.use_plan {
-            return self.sttsv_plan(comm, my_shards);
-        }
-        let part = self.part;
-        let p = comm.rank();
-        let rp = part.r_set(p);
-        assert_eq!(my_shards.len(), rp.len(), "one shard per owned row block");
-        let b = part.block_size();
-
-        // --- Phase 1: gather full x row blocks (Algorithm 5 lines 10-21).
-        let mut x_full: Vec<Vec<f64>> = vec![vec![0.0; b]; rp.len()];
-        for (t, &i) in rp.iter().enumerate() {
-            let range = part.shard_range(i, p);
-            debug_assert_eq!(my_shards[t].len(), range.len());
-            x_full[t][range].copy_from_slice(&my_shards[t]);
-        }
-        comm.with_phase("gather-x", || {
-            self.exchange_phase(
-                comm,
-                TAG_X,
-                1,
-                // Pack: my shard of shared row block i.
-                |_, t, _peer| my_shards[t].clone(),
-                // Unpack: the peer's shard of row block i, placed at its range.
-                |i, t, peer| {
-                    let range = part.shard_range(i, peer);
-                    (
-                        range.len(),
-                        Box::new(move |x_dst: &mut [Vec<f64>], piece: &[f64]| {
-                            x_dst[t][range.clone()].copy_from_slice(piece);
-                        }),
-                    )
-                },
-                &mut x_full,
-            )
-        });
-
-        // --- Phase 2: local ternary multiplications (lines 24-36).
-        let mut y_acc: Vec<Vec<f64>> = vec![vec![0.0; b]; rp.len()];
-        let ternary =
-            comm.with_phase("local-compute", || self.local_kernels(comm, &x_full, &mut y_acc));
-
-        // --- Phase 3: distribute and reduce partial y (lines 38-50).
-        let mut y_out: Vec<Vec<f64>> = rp
-            .iter()
-            .enumerate()
-            .map(|(t, &i)| y_acc[t][part.shard_range(i, p)].to_vec())
-            .collect();
-        comm.with_phase("reduce-y", || {
-            self.exchange_phase(
-                comm,
-                TAG_Y,
-                1,
-                // Pack: my partial of the *peer's* shard of row block i.
-                |i, t, peer| y_acc[t][part.shard_range(i, peer)].to_vec(),
-                // Unpack: a partial of *my* shard of row block i — accumulate.
-                |i, t, _peer| {
-                    let len = part.shard_range(i, p).len();
-                    (
-                        len,
-                        Box::new(move |y_dst: &mut [Vec<f64>], piece: &[f64]| {
-                            for (acc, &v) in y_dst[t].iter_mut().zip(piece) {
-                                *acc += v;
-                            }
-                        }),
-                    )
-                },
-                &mut y_out,
-            )
-        });
-
-        (y_out, ternary)
+        let plan = self.compile(comm.rank());
+        let mut ws = self.plan_ws.borrow_mut();
+        let ternary = self.run_barrier(comm, plan, &mut ws, std::iter::once(my_shards));
+        (plan.extract(&ws, 0), ternary)
     }
 
     /// Batched distributed STTSV: runs `B = my_shards.len()` contractions
@@ -270,14 +185,14 @@ impl<'a> RankContext<'a> {
     /// of input vector `v`; returns `ys[v][t]` keyed the same way, plus the
     /// total ternary-multiplication count (`B ×` the single-vector count).
     ///
-    /// Each peer message carries the `B` vectors' pieces back-to-back
-    /// (`width = B` in [`RankContext::exchange_phase`]), so the per-rank
-    /// **message count and round count are those of a single STTSV** while
-    /// words scale linearly with `B` — the α (latency) term of the α-β-γ
-    /// cost is amortized across the batch, exactly like the multi-vector
-    /// contractions in the Multi-TTM literature. Word counts are `B ×` the
-    /// single-vector counts in every mode (the padded collective pads each
-    /// message to `B ×` the single-vector pad).
+    /// Each peer message carries the `B` vectors' pieces back-to-back, so
+    /// the per-rank **message count and round count are those of a single
+    /// STTSV** while words scale linearly with `B` — the α (latency) term
+    /// of the α-β-γ cost is amortized across the batch, exactly like the
+    /// multi-vector contractions in the Multi-TTM literature. Word counts
+    /// are `B ×` the single-vector counts in every mode (the padded
+    /// collective pads each message to `B ×` the single-vector pad). A
+    /// batch of one is exactly [`RankContext::sttsv`].
     pub fn sttsv_multi(
         &self,
         comm: &Comm,
@@ -286,203 +201,54 @@ impl<'a> RankContext<'a> {
         if my_shards.is_empty() {
             return (Vec::new(), 0);
         }
-        if self.use_plan {
-            return self.sttsv_multi_plan(comm, my_shards);
-        }
-        let part = self.part;
-        let p = comm.rank();
-        let rp = part.r_set(p);
-        let batch = my_shards.len();
-        let t_count = rp.len();
-        for (v, shards) in my_shards.iter().enumerate() {
-            assert_eq!(shards.len(), t_count, "vector {v}: one shard per owned row block");
-        }
-        let b = part.block_size();
-
-        // Batched rank state, flattened as [v * t_count + t] so it fits the
-        // `exchange_phase` state type.
-        let mut x_full: Vec<Vec<f64>> = vec![vec![0.0; b]; batch * t_count];
-        for (v, shards) in my_shards.iter().enumerate() {
-            for (t, &i) in rp.iter().enumerate() {
-                let range = part.shard_range(i, p);
-                debug_assert_eq!(shards[t].len(), range.len());
-                x_full[v * t_count + t][range].copy_from_slice(&shards[t]);
-            }
-        }
-        comm.with_phase("gather-x", || {
-            self.exchange_phase(
-                comm,
-                TAG_X,
-                batch,
-                // Pack: my shards of row block i, all vectors back-to-back.
-                |_, t, _peer| {
-                    let mut buf = Vec::new();
-                    for shards in my_shards {
-                        buf.extend_from_slice(&shards[t]);
-                    }
-                    buf
-                },
-                // Unpack: the peer's shards of row block i, per vector.
-                |i, t, peer| {
-                    let range = part.shard_range(i, peer);
-                    let len = range.len();
-                    (
-                        len * batch,
-                        Box::new(move |x_dst: &mut [Vec<f64>], piece: &[f64]| {
-                            for v in 0..batch {
-                                x_dst[v * t_count + t][range.clone()]
-                                    .copy_from_slice(&piece[v * len..(v + 1) * len]);
-                            }
-                        }),
-                    )
-                },
-                &mut x_full,
-            )
-        });
-
-        // Local compute: one kernel pass per vector over the same owned
-        // blocks (the blocks stay resident; only the vectors change).
-        let mut y_acc: Vec<Vec<f64>> = vec![vec![0.0; b]; batch * t_count];
-        let ternary = comm.with_phase("local-compute", || {
-            let mut total = 0;
-            for (xs, ys) in x_full.chunks_exact(t_count).zip(y_acc.chunks_exact_mut(t_count)) {
-                total += self.local_kernels(comm, xs, ys);
-            }
-            total
-        });
-
-        // Reduce: every vector's partial shards in one exchange.
-        let mut y_flat: Vec<Vec<f64>> = (0..batch)
-            .flat_map(|v| rp.iter().enumerate().map(move |(t, &i)| (v, t, i)).collect::<Vec<_>>())
-            .map(|(v, t, i)| y_acc[v * t_count + t][part.shard_range(i, p)].to_vec())
-            .collect();
-        comm.with_phase("reduce-y", || {
-            self.exchange_phase(
-                comm,
-                TAG_Y,
-                batch,
-                |i, t, peer| {
-                    let range = part.shard_range(i, peer);
-                    let mut buf = Vec::with_capacity(batch * range.len());
-                    for v in 0..batch {
-                        buf.extend_from_slice(&y_acc[v * t_count + t][range.clone()]);
-                    }
-                    buf
-                },
-                |i, t, _peer| {
-                    let len = part.shard_range(i, p).len();
-                    (
-                        len * batch,
-                        Box::new(move |y_dst: &mut [Vec<f64>], piece: &[f64]| {
-                            for v in 0..batch {
-                                for (acc, &val) in y_dst[v * t_count + t]
-                                    .iter_mut()
-                                    .zip(&piece[v * len..(v + 1) * len])
-                                {
-                                    *acc += val;
-                                }
-                            }
-                        }),
-                    )
-                },
-                &mut y_flat,
-            )
-        });
-
-        let ys = y_flat.chunks_exact(t_count).map(|c| c.to_vec()).collect();
+        let plan = self.compile(comm.rank());
+        let mut ws = self.plan_ws.borrow_mut();
+        let ternary = self.run_barrier(comm, plan, &mut ws, my_shards.iter().map(Vec::as_slice));
+        let ys = (0..my_shards.len()).map(|v| plan.extract(&ws, v)).collect();
         (ys, ternary)
     }
 
-    /// [`RankContext::sttsv`] through the compiled plan: identical phases,
-    /// wire format, arithmetic and counts, but all state lives in the
-    /// plan's flat slabs and recycled buffers — zero heap allocations in
-    /// steady state (only the returned shard vectors are fresh; use
-    /// [`RankContext::sttsv_into`] to avoid even those).
-    fn sttsv_plan(&self, comm: &Comm, my_shards: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-        let plan = self.compile(comm.rank());
-        let mut ws = self.plan_ws.borrow_mut();
-        let ternary = self.run_plan_single(comm, plan, &mut ws, my_shards);
-        (plan.extract(&ws, 0), ternary)
-    }
-
     /// Fully allocation-free steady-state STTSV: like
-    /// [`RankContext::sttsv`] on the plan path, but the output shards are
-    /// written into caller-provided vectors (reused capacity). Returns the
-    /// ternary count. Requires [`RankContext::with_plan`].
+    /// [`RankContext::sttsv`], but the output shards are written into
+    /// caller-provided vectors (reused capacity). Returns the ternary
+    /// count.
     pub fn sttsv_into(&self, comm: &Comm, my_shards: &[Vec<f64>], out: &mut [Vec<f64>]) -> u64 {
-        assert!(self.use_plan, "sttsv_into requires the plan path (with_plan)");
         let plan = self.compile(comm.rank());
         let mut ws = self.plan_ws.borrow_mut();
-        let ternary = self.run_plan_single(comm, plan, &mut ws, my_shards);
+        let ternary = self.run_barrier(comm, plan, &mut ws, std::iter::once(my_shards));
         plan.extract_into(&ws, 0, out);
         ternary
     }
 
-    /// The three plan phases for one vector (shared by `sttsv_plan` and
-    /// `sttsv_into`).
-    fn run_plan_single(
+    /// The three barrier phases for a batch (shared by `sttsv`,
+    /// `sttsv_into` and `sttsv_multi`): load, gather, compute, reduce.
+    fn run_barrier<'v>(
         &self,
         comm: &Comm,
         plan: &RankPlan,
         ws: &mut PlanWorkspace,
-        my_shards: &[Vec<f64>],
+        vectors: impl ExactSizeIterator<Item = &'v [Vec<f64>]>,
     ) -> u64 {
-        plan.ensure_capacity(ws, 1);
-        plan.load_shards(ws, 0, my_shards);
+        let batch = load_batch(plan, ws, vectors);
         comm.with_phase("gather-x", || {
-            self.plan_exchange(comm, plan, ws, TAG_X, ExchangeKind::Gather, 1)
+            self.plan_exchange(comm, plan, ws, TAG_X, ExchangeKind::Gather, batch)
         });
         let ternary = comm.with_phase("local-compute", || {
             comm.with_phase("compute:kernel", || {
-                let t = plan.compute(ws, 1, self.pool);
-                comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
+                let t = plan.compute(ws, batch, self.pool);
+                annotate_plan(comm, plan, ws);
                 t
             })
         });
         comm.with_phase("reduce-y", || {
-            self.plan_exchange(comm, plan, ws, TAG_Y, ExchangeKind::Reduce, 1)
+            self.plan_exchange(comm, plan, ws, TAG_Y, ExchangeKind::Reduce, batch)
         });
         ternary
     }
 
-    /// [`RankContext::sttsv_multi`] through the compiled plan: the batch
-    /// moves through one exchange-phase pair exactly like the legacy
-    /// batched path (messages carry the `B` vectors' pieces back-to-back),
-    /// with all batch state in the flat slabs.
-    fn sttsv_multi_plan(
-        &self,
-        comm: &Comm,
-        my_shards: &[Vec<Vec<f64>>],
-    ) -> (Vec<Vec<Vec<f64>>>, u64) {
-        let batch = my_shards.len();
-        let plan = self.compile(comm.rank());
-        let mut ws = self.plan_ws.borrow_mut();
-        plan.ensure_capacity(&mut ws, batch);
-        for (v, shards) in my_shards.iter().enumerate() {
-            plan.load_shards(&mut ws, v, shards);
-        }
-        comm.with_phase("gather-x", || {
-            self.plan_exchange(comm, plan, &mut ws, TAG_X, ExchangeKind::Gather, batch)
-        });
-        let ternary = comm.with_phase("local-compute", || {
-            comm.with_phase("compute:kernel", || {
-                let t = plan.compute(&mut ws, batch, self.pool);
-                comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
-                t
-            })
-        });
-        comm.with_phase("reduce-y", || {
-            self.plan_exchange(comm, plan, &mut ws, TAG_Y, ExchangeKind::Reduce, batch)
-        });
-        let ys = (0..batch).map(|v| plan.extract(&ws, v)).collect();
-        (ys, ternary)
-    }
-
-    /// [`RankContext::sttsv_multi`] on the plan path with **request-scoped
-    /// tracing**: `requests[v]` is the serving-layer id of vector `v`. The
-    /// per-vector kernel passes are annotated with their request id (so
+    /// [`RankContext::sttsv_multi`] with **request-scoped tracing**:
+    /// `requests[v]` is the serving-layer id of vector `v`. The per-vector
+    /// kernel passes are annotated with their request id (so
     /// flight-recorder records and `CommEvent`s emitted during request
     /// `v`'s compute carry it) and individually timed; the batch-level
     /// exchange phases are timed as a whole, since each message carries
@@ -499,7 +265,6 @@ impl<'a> RankContext<'a> {
         my_shards: &[Vec<Vec<f64>>],
         requests: &[u64],
     ) -> (Vec<Vec<Vec<f64>>>, u64, BatchSpans) {
-        assert!(self.use_plan, "sttsv_multi_requests requires the plan path (with_plan)");
         assert_eq!(my_shards.len(), requests.len(), "one request id per vector");
         let batch = my_shards.len();
         let start_ns = comm.elapsed_ns();
@@ -508,39 +273,13 @@ impl<'a> RankContext<'a> {
         }
         let plan = self.compile(comm.rank());
         let mut ws = self.plan_ws.borrow_mut();
-        plan.ensure_capacity(&mut ws, batch);
-        for (v, shards) in my_shards.iter().enumerate() {
-            plan.load_shards(&mut ws, v, shards);
-        }
+        load_batch(plan, &mut ws, my_shards.iter().map(Vec::as_slice));
         let gather_t0 = comm.elapsed_ns();
         comm.with_phase("gather-x", || {
             self.plan_exchange(comm, plan, &mut ws, TAG_X, ExchangeKind::Gather, batch)
         });
         let gather_ns = comm.elapsed_ns().saturating_sub(gather_t0);
-        let mut compute_ns = Vec::with_capacity(batch);
-        let ternary = comm.with_phase("local-compute", || {
-            let mut total = 0u64;
-            for (v, &request) in requests.iter().enumerate() {
-                // One request-annotated `compute:kernel` span per vector:
-                // the span's flight records (and any trace events inside)
-                // carry the request id, as do the pool's workspace leases.
-                comm.annotate_request(request);
-                if let Some(pool) = self.pool {
-                    pool.workspaces().set_request(request);
-                }
-                let t0 = comm.elapsed_ns();
-                total += comm
-                    .with_phase("compute:kernel", || plan.compute_vector(&mut ws, v, self.pool));
-                compute_ns.push(comm.elapsed_ns().saturating_sub(t0));
-                if let Some(pool) = self.pool {
-                    pool.workspaces().clear_request();
-                }
-                comm.clear_request();
-            }
-            comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-            comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
-            total
-        });
+        let (ternary, compute_ns) = self.compute_requests(comm, plan, &mut ws, requests);
         let reduce_t0 = comm.elapsed_ns();
         comm.with_phase("reduce-y", || {
             self.plan_exchange(comm, plan, &mut ws, TAG_Y, ExchangeKind::Reduce, batch)
@@ -550,6 +289,41 @@ impl<'a> RankContext<'a> {
         let spans =
             BatchSpans { start_ns, gather_ns, compute_ns, reduce_ns, end_ns: comm.elapsed_ns() };
         (ys, ternary, spans)
+    }
+
+    /// The `local-compute` phase of a request batch: one request-annotated
+    /// `compute:kernel` span per vector, whose flight records (and any
+    /// trace events inside) carry the request id, as do the pool's
+    /// workspace leases. Returns the ternary count and the per-vector
+    /// kernel durations.
+    fn compute_requests(
+        &self,
+        comm: &Comm,
+        plan: &RankPlan,
+        ws: &mut PlanWorkspace,
+        requests: &[u64],
+    ) -> (u64, Vec<u64>) {
+        let mut compute_ns = Vec::with_capacity(requests.len());
+        let ternary = comm.with_phase("local-compute", || {
+            let mut total = 0u64;
+            for (v, &request) in requests.iter().enumerate() {
+                comm.annotate_request(request);
+                if let Some(pool) = self.pool {
+                    pool.workspaces().set_request(request);
+                }
+                let t0 = comm.elapsed_ns();
+                total +=
+                    comm.with_phase("compute:kernel", || plan.compute_vector(ws, v, self.pool));
+                compute_ns.push(comm.elapsed_ns().saturating_sub(t0));
+                if let Some(pool) = self.pool {
+                    pool.workspaces().clear_request();
+                }
+                comm.clear_request();
+            }
+            annotate_plan(comm, plan, ws);
+            total
+        });
+        (ternary, compute_ns)
     }
 
     /// Serves `n_batches` request batches through a **double-buffered
@@ -574,7 +348,6 @@ impl<'a> RankContext<'a> {
         n_batches: usize,
         mut form: impl FnMut(usize) -> (Vec<Vec<Vec<f64>>>, Vec<u64>),
     ) -> Vec<ServedBatch> {
-        assert!(self.use_plan, "sttsv_serve_pipelined requires the plan path (with_plan)");
         if self.mode != Mode::Scheduled {
             // The collective exchanges are indivisible; serve batches
             // back-to-back exactly like the sequential loop.
@@ -599,11 +372,7 @@ impl<'a> RankContext<'a> {
         let mut stage = |k: usize, ws: &mut PlanWorkspace| -> (u64, u64, Vec<u64>) {
             let begin_ns = comm.elapsed_ns();
             let (shards, ids) = form(k);
-            let batch = shards.len();
-            plan.ensure_capacity(ws, batch);
-            for (v, s) in shards.iter().enumerate() {
-                plan.load_shards(ws, v, s);
-            }
+            let batch = load_batch(plan, ws, shards.iter().map(Vec::as_slice));
             let formed_ns = comm.elapsed_ns();
             comm.with_phase("gather-x", || {
                 for (round, act) in actions.iter().enumerate() {
@@ -653,28 +422,7 @@ impl<'a> RankContext<'a> {
             if k + 1 < n_batches {
                 pending[1 - cur] = Some(stage(k + 1, &mut wss[1 - cur]));
             }
-            let mut compute_ns = Vec::with_capacity(batch);
-            let ternary = comm.with_phase("local-compute", || {
-                let mut total = 0u64;
-                for (v, &request) in ids.iter().enumerate() {
-                    comm.annotate_request(request);
-                    if let Some(pool) = self.pool {
-                        pool.workspaces().set_request(request);
-                    }
-                    let t0 = comm.elapsed_ns();
-                    total += comm.with_phase("compute:kernel", || {
-                        plan.compute_vector(&mut wss[cur], v, self.pool)
-                    });
-                    compute_ns.push(comm.elapsed_ns().saturating_sub(t0));
-                    if let Some(pool) = self.pool {
-                        pool.workspaces().clear_request();
-                    }
-                    comm.clear_request();
-                }
-                comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                comm.annotate_counter("plan:fresh_allocs", wss[cur].fresh_allocs());
-                total
-            });
+            let (ternary, compute_ns) = self.compute_requests(comm, plan, &mut wss[cur], &ids);
             let reduce_t0 = comm.elapsed_ns();
             comm.with_phase("reduce-y", || {
                 self.plan_exchange(comm, plan, &mut wss[cur], TAG_Y, ExchangeKind::Reduce, batch)
@@ -693,43 +441,35 @@ impl<'a> RankContext<'a> {
         out
     }
 
-    /// One **overlapped** distributed STTSV through the compiled plan:
-    /// same wire format, word/message/round counts and output bits as
-    /// [`RankContext::sttsv`] on the plan path, but communication and
-    /// computation are pipelined — owned-only blocks run while the gather
-    /// messages are in flight, each dependency group runs the moment its
-    /// last x piece lands (drained in arrival order via
+    /// One **overlapped** distributed STTSV: same wire format,
+    /// word/message/round counts and output bits as [`RankContext::sttsv`],
+    /// but communication and computation are pipelined — owned-only blocks
+    /// run while the gather messages are in flight, each dependency group
+    /// runs the moment its last x piece lands (drained in arrival order via
     /// [`Comm::recv_any`]), and finalized scatter-y contributions flush
-    /// early in scheduled mode. Requires [`RankContext::with_plan`].
+    /// early in scheduled mode.
     pub fn sttsv_overlapped(&self, comm: &Comm, my_shards: &[Vec<f64>]) -> (Vec<Vec<f64>>, u64) {
-        assert!(self.use_plan, "sttsv_overlapped requires the plan path (with_plan)");
         let plan = self.compile(comm.rank());
         let mut ws = self.plan_ws.borrow_mut();
-        plan.ensure_capacity(&mut ws, 1);
-        plan.load_shards(&mut ws, 0, my_shards);
-        let ternary = self.run_plan_overlapped(comm, plan, &mut ws, 1);
+        let batch = load_batch(plan, &mut ws, std::iter::once(my_shards));
+        let ternary = self.run_plan_overlapped(comm, plan, &mut ws, batch);
         (plan.extract(&ws, 0), ternary)
     }
 
     /// Batched form of [`RankContext::sttsv_overlapped`]: the whole batch
     /// moves through one overlapped exchange pair, bit-identical to
-    /// [`RankContext::sttsv_multi`] on the plan path.
+    /// [`RankContext::sttsv_multi`].
     pub fn sttsv_multi_overlapped(
         &self,
         comm: &Comm,
         my_shards: &[Vec<Vec<f64>>],
     ) -> (Vec<Vec<Vec<f64>>>, u64) {
-        assert!(self.use_plan, "sttsv_multi_overlapped requires the plan path (with_plan)");
         if my_shards.is_empty() {
             return (Vec::new(), 0);
         }
-        let batch = my_shards.len();
         let plan = self.compile(comm.rank());
         let mut ws = self.plan_ws.borrow_mut();
-        plan.ensure_capacity(&mut ws, batch);
-        for (v, shards) in my_shards.iter().enumerate() {
-            plan.load_shards(&mut ws, v, shards);
-        }
+        let batch = load_batch(plan, &mut ws, my_shards.iter().map(Vec::as_slice));
         let ternary = self.run_plan_overlapped(comm, plan, &mut ws, batch);
         let ys = (0..batch).map(|v| plan.extract(&ws, v)).collect();
         (ys, ternary)
@@ -829,8 +569,7 @@ impl<'a> RankContext<'a> {
                 let ternary = comm.with_phase("local-compute", || {
                     comm.with_phase("compute:kernel", || {
                         let t = plan.finish_overlapped(ws, &mut st, self.pool);
-                        comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                        comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
+                        annotate_plan(comm, plan, ws);
                         t
                     })
                 });
@@ -927,8 +666,7 @@ impl<'a> RankContext<'a> {
                 let ternary = comm.with_phase("local-compute", || {
                     comm.with_phase("compute:kernel", || {
                         let t = plan.finish_overlapped(ws, &mut st, self.pool);
-                        comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
-                        comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
+                        annotate_plan(comm, plan, ws);
                         t
                     })
                 });
@@ -1004,10 +742,13 @@ impl<'a> RankContext<'a> {
         }
     }
 
-    /// The plan path's exchange: mirrors [`RankContext::exchange_phase`]
-    /// round for round and byte for byte, but packs from / unpacks into
-    /// the flat slabs using the precompiled piece layouts, with message
-    /// buffers drawn from (and recycled into) the workspace free list.
+    /// One barrier exchange phase. Scheduled mode walks the edge-colored
+    /// schedule round by round; the all-to-all modes hand every peer its
+    /// message in one pairwise collective (padded to `batch · pad_unit`
+    /// words in [`Mode::AllToAllPadded`]). Each message carries, for every
+    /// row block shared with the peer (ascending), the batch's pieces back
+    /// to back; buffers are drawn from (and recycled into) the workspace
+    /// free list.
     fn plan_exchange(
         &self,
         comm: &Comm,
@@ -1068,96 +809,28 @@ impl<'a> RankContext<'a> {
             }
         }
     }
+}
 
-    /// Shared machinery for both vector phases: for every peer sharing row
-    /// blocks with this rank, send the packed pieces (one per shared block,
-    /// ascending) and apply `unpack` to the received pieces.
-    ///
-    /// `pack(i, t, peer)` produces the outgoing piece for shared row block
-    /// `i` (`t` = its position in `R_p`). `unpack(i, t, peer)` returns the
-    /// expected piece length and a closure applying it to `state`. `width`
-    /// is the number of vector columns moved together (1 for STTSV, `r`
-    /// for MTTKRP) — it scales the padded-mode uniform message size.
-    #[allow(clippy::type_complexity, clippy::needless_lifetimes)]
-    pub(crate) fn exchange_phase<'s>(
-        &'s self,
-        comm: &Comm,
-        tag_base: u64,
-        width: usize,
-        pack: impl Fn(usize, usize, usize) -> Vec<f64>,
-        unpack: impl Fn(usize, usize, usize) -> (usize, Box<dyn FnOnce(&mut [Vec<f64>], &[f64]) + 's>),
-        state: &mut [Vec<f64>],
-    ) {
-        let part = self.part;
-        let p = comm.rank();
-        let rp = part.r_set(p);
-        let pos_of = |i: usize| rp.binary_search(&i).unwrap();
-
-        let pack_for = |peer: usize| -> Vec<f64> {
-            let mut buf = Vec::new();
-            for i in shared_row_blocks(part, p, peer) {
-                buf.extend_from_slice(&pack(i, pos_of(i), peer));
-            }
-            buf
-        };
-        let unpack_from = |peer: usize, buf: &[f64], state: &mut [Vec<f64>]| {
-            let mut offset = 0;
-            for i in shared_row_blocks(part, p, peer) {
-                let (len, apply) = unpack(i, pos_of(i), peer);
-                apply(state, &buf[offset..offset + len]);
-                offset += len;
-            }
-        };
-
-        match self.mode {
-            Mode::Scheduled => {
-                let schedule = self.schedule.expect("scheduled mode requires a schedule");
-                for (round, act) in schedule.actions(p).iter().enumerate() {
-                    comm.annotate_round(round as u64);
-                    if let Some(dst) = act.send_to {
-                        comm.send(dst, tag_base + round as u64, pack_for(dst));
-                    }
-                    if let Some(src) = act.recv_from {
-                        let buf = comm
-                            .recv(src, tag_base + round as u64)
-                            .expect("scheduled exchange failed");
-                        unpack_from(src, &buf, state);
-                    }
-                    if act.send_to.is_some() || act.recv_from.is_some() {
-                        comm.count_round();
-                    }
-                }
-                comm.clear_round();
-            }
-            Mode::AllToAllPadded | Mode::AllToAllSparse => {
-                let p_count = part.num_procs();
-                // Uniform message size for the padded (MPI_Alltoall) mode:
-                // two shards of the largest shard size (a pair of processors
-                // shares at most two row blocks).
-                let pad_len = 2 * width * part.block_size().div_ceil(part.lambda1());
-                let mut sendbufs: Vec<Vec<f64>> = (0..p_count)
-                    .map(|peer| {
-                        if peer == p {
-                            return Vec::new();
-                        }
-                        let mut buf = pack_for(peer);
-                        if self.mode == Mode::AllToAllPadded {
-                            debug_assert!(buf.len() <= pad_len);
-                            buf.resize(pad_len, 0.0);
-                        }
-                        buf
-                    })
-                    .collect();
-                sendbufs[p] = Vec::new();
-                let recvd = comm.all_to_all_v(sendbufs).expect("all-to-all failed");
-                for (peer, buf) in recvd.iter().enumerate() {
-                    if peer != p {
-                        unpack_from(peer, buf, state);
-                    }
-                }
-            }
-        }
+/// Sizes `ws` for the batch and loads this rank's shards of every vector
+/// into its `x` slabs; returns the batch size.
+fn load_batch<'v>(
+    plan: &RankPlan,
+    ws: &mut PlanWorkspace,
+    vectors: impl ExactSizeIterator<Item = &'v [Vec<f64>]>,
+) -> usize {
+    let batch = vectors.len();
+    plan.ensure_capacity(ws, batch);
+    for (v, shards) in vectors.enumerate() {
+        plan.load_shards(ws, v, shards);
     }
+    batch
+}
+
+/// Annotates the enclosing `compute:kernel` span with the bytes of tensor
+/// rows a vector pass streams and the workspace's steady-state heap events.
+fn annotate_plan(comm: &Comm, plan: &RankPlan, ws: &PlanWorkspace) {
+    comm.annotate_counter("plan:arena_bytes", plan.arena_bytes() as u64);
+    comm.annotate_counter("plan:fresh_allocs", ws.fresh_allocs());
 }
 
 /// The result of a driver-level parallel STTSV run.
@@ -1171,113 +844,6 @@ pub struct SttsvRun {
     pub ternary_per_rank: Vec<u64>,
 }
 
-/// Runs Algorithm 5 on the simulated machine: one thread per processor,
-/// with the tensor blocks extracted per-rank (never communicated) and the
-/// input/output vectors distributed per Section 6.1.2.
-///
-/// `part.dim()` must equal `tensor.dim()` and `x.len()`; use
-/// [`parallel_sttsv_padded`] for arbitrary `n`.
-///
-/// ```
-/// use symtensor_parallel::{parallel_sttsv, Mode, TetraPartition};
-/// use symtensor_core::SymTensor3;
-/// use symtensor_steiner::spherical;
-///
-/// let n = 30;                                  // m = 5 row blocks, b = 6
-/// let part = TetraPartition::new(spherical(2), n).unwrap();
-/// let mut a = SymTensor3::zeros(n);
-/// for i in 0..n { a.set(i, i, i, 1.0); }       // y_i = x_i²
-/// let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-/// let run = parallel_sttsv(&a, &part, &x, Mode::Scheduled);
-/// assert!(run.y.iter().enumerate().all(|(i, &y)| y == (i * i) as f64));
-/// assert!(run.report.bandwidth_cost() > 0);    // vectors moved, tensor did not
-/// ```
-pub fn parallel_sttsv(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-) -> SttsvRun {
-    let (run, _traces, _flight) = run_sttsv(tensor, part, x, mode, false);
-    run
-}
-
-/// Like [`parallel_sttsv`] but with per-rank event tracing enabled: also
-/// returns each rank's full [`CommEvent`] log (phase-annotated sends/recvs,
-/// round annotations from the scheduled exchanges), ready for the
-/// `symtensor-obs` exporters. The [`CostReport`] is identical to the
-/// untraced run — tracing never touches the counters.
-pub fn parallel_sttsv_traced(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    let (run, traces, _flight) = run_sttsv(tensor, part, x, mode, true);
-    (run, traces)
-}
-
-/// [`parallel_sttsv_traced`] plus each rank's **flight-recorder window**:
-/// the always-on bounded ring of delta-encoded send/recv/phase records the
-/// runtime keeps regardless of tracing. The snapshots feed the
-/// `symtensor-obs` flight exporters (`--flight` in the CLI); results and
-/// the [`CostReport`] are identical to the untraced run.
-pub fn parallel_sttsv_traced_flight(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-) -> (SttsvRun, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>) {
-    run_sttsv(tensor, part, x, mode, true)
-}
-
-fn run_sttsv(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    traced: bool,
-) -> (SttsvRun, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report, traces, flight) = if traced {
-        universe.run_traced_flight(rank_main)
-    } else {
-        let (results, report) = universe.run(rank_main);
-        (results, report, Vec::new(), Vec::new())
-    };
-
-    let mut y = vec![0.0; n];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            y[global.start + local.start..global.start + local.end].copy_from_slice(&shards[t]);
-        }
-    }
-    (SttsvRun { y, report, ternary_per_rank }, traces, flight)
-}
-
 /// The result of a driver-level **batched** parallel STTSV run.
 #[derive(Clone, Debug)]
 pub struct SttsvMultiRun {
@@ -1288,6 +854,14 @@ pub struct SttsvMultiRun {
     /// Per-rank ternary-multiplication counts summed over the batch
     /// (`B ×` the single-vector counts).
     pub ternary_per_rank: Vec<u64>,
+}
+
+impl SttsvMultiRun {
+    /// The run of a batch of one.
+    fn single(self) -> SttsvRun {
+        let y = self.ys.into_iter().next().expect("a batch of one");
+        SttsvRun { y, report: self.report, ternary_per_rank: self.ternary_per_rank }
+    }
 }
 
 /// One rank's timing decomposition of a request-annotated batch
@@ -1336,29 +910,47 @@ pub struct ServedBatch {
     pub ternary: u64,
 }
 
-/// Runs [`RankContext::sttsv_multi`] on the simulated machine: all `B`
-/// contractions share one pair of exchange phases, so each rank's message
-/// and round counts equal a **single** STTSV while words scale with `B`.
-///
-/// `threads > 1` additionally attaches a [`Pool`] per rank so the
-/// local-compute phase runs [`OwnedBlocks::compute_par`]
-/// (results bit-identical to the sequential kernels across thread counts).
-///
-/// [`OwnedBlocks::compute_par`]: crate::blocks::OwnedBlocks::compute_par
-pub fn parallel_sttsv_multi(
+/// What a rank body returns to [`run_ranks`]: its output shards `[v][t]`,
+/// its ternary-multiplication count, and a driver-specific extra.
+pub(crate) type RankOut<E> = (Vec<Vec<Vec<f64>>>, u64, E);
+
+/// Everything [`run_ranks`] collected on the host side.
+pub(crate) struct RanksRun<E> {
+    /// Assembled outputs and exact counts.
+    pub(crate) run: SttsvMultiRun,
+    /// Each rank's extra, indexed by rank.
+    pub(crate) extras: Vec<E>,
+    /// Per-rank event logs (empty unless traced).
+    pub(crate) traces: Vec<Vec<CommEvent>>,
+    /// Per-rank flight-recorder windows (empty unless traced).
+    pub(crate) flight: Vec<FlightSnapshot>,
+}
+
+/// The host side shared by every driver: builds the schedule, spawns one
+/// thread per rank (with event tracing when `traced`), gives each rank its
+/// [`RankContext`] — with a [`Pool`] of `threads` workers when
+/// `threads > 1` — and its shards `[v][t]` of every input vector, runs
+/// `body`, and assembles the returned shards into full vectors.
+pub(crate) fn run_ranks<X, E, F>(
     tensor: &SymTensor3,
     part: &TetraPartition,
-    xs: &[Vec<f64>],
+    xs: &[X],
     mode: Mode,
     threads: usize,
-) -> SttsvMultiRun {
+    traced: bool,
+    body: F,
+) -> RanksRun<E>
+where
+    X: AsRef<[f64]> + Sync,
+    E: Send,
+    F: Fn(&Comm, &RankContext<'_>, Vec<Vec<Vec<f64>>>) -> RankOut<E> + Sync,
+{
     let n = part.dim();
     assert_eq!(tensor.dim(), n);
     for (v, x) in xs.iter().enumerate() {
-        assert_eq!(x.len(), n, "vector {v} has wrong dimension");
+        assert_eq!(x.as_ref().len(), n, "vector {v} has wrong dimension");
     }
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
+    let schedule = (mode == Mode::Scheduled).then(|| CommSchedule::build(part));
 
     let rank_main = |comm: &Comm| {
         let p = comm.rank();
@@ -1367,95 +959,88 @@ pub fn parallel_sttsv_multi(
         if let Some(pool) = pool.as_ref() {
             ctx = ctx.with_pool(pool);
         }
-        let my_shards: Vec<Vec<Vec<f64>>> = xs
-            .iter()
-            .map(|x| {
-                part.r_set(p)
-                    .iter()
-                    .map(|&i| {
-                        let block = &x[part.block_range(i)];
-                        block[part.shard_range(i, p)].to_vec()
-                    })
-                    .collect()
-            })
-            .collect();
-        ctx.sttsv_multi(comm, &my_shards)
+        let shards = xs.iter().map(|x| rank_shards(part, p, x.as_ref())).collect();
+        body(comm, &ctx, shards)
     };
-    let universe = Universe::new(p_count);
-    let (rank_results, report) = universe.run(rank_main);
+    let universe = Universe::new(part.num_procs());
+    let (rank_results, report, traces, flight) = if traced {
+        universe.run_traced_flight(rank_main)
+    } else {
+        let (results, report) = universe.run(rank_main);
+        (results, report, Vec::new(), Vec::new())
+    };
 
-    let mut ys = vec![vec![0.0; n]; xs.len()];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shard_sets, ternary)) in rank_results.into_iter().enumerate() {
+    let count = rank_results.first().map_or(0, |r| r.0.len());
+    let mut ys = vec![vec![0.0; n]; count];
+    let mut ternary_per_rank = Vec::with_capacity(rank_results.len());
+    let mut extras = Vec::with_capacity(rank_results.len());
+    for (p, (shard_sets, ternary, extra)) in rank_results.into_iter().enumerate() {
         ternary_per_rank.push(ternary);
-        for (v, shards) in shard_sets.into_iter().enumerate() {
-            for (t, &i) in part.r_set(p).iter().enumerate() {
-                let global = part.block_range(i);
-                let local = part.shard_range(i, p);
-                ys[v][global.start + local.start..global.start + local.end]
-                    .copy_from_slice(&shards[t]);
+        extras.push(extra);
+        for (y, shards) in ys.iter_mut().zip(shard_sets) {
+            for (&i, shard) in part.r_set(p).iter().zip(shards) {
+                let (global, local) = (part.block_range(i), part.shard_range(i, p));
+                y[global.start + local.start..global.start + local.end].copy_from_slice(&shard);
             }
         }
     }
-    SttsvMultiRun { ys, report, ternary_per_rank }
+    RanksRun { run: SttsvMultiRun { ys, report, ternary_per_rank }, extras, traces, flight }
 }
 
-/// Like [`parallel_sttsv`] but with a node-level worker pool of `threads`
-/// threads attached to every rank: the distributed algorithm (and its
-/// communication costs) are unchanged, while each rank's local-compute
-/// phase runs the work-stealing block kernels. Results are bit-identical
-/// to [`parallel_sttsv`] for every thread count.
-pub fn parallel_sttsv_mt(
+/// Rank `p`'s shards of `x`, one per owned row block `R_p[t]`.
+pub(crate) fn rank_shards(part: &TetraPartition, p: usize, x: &[f64]) -> Vec<Vec<f64>> {
+    part.r_set(p).iter().map(|&i| x[part.block_range(i)][part.shard_range(i, p)].to_vec()).collect()
+}
+
+/// The barrier rank body: one batched STTSV over the rank's shards.
+fn barrier(comm: &Comm, ctx: &RankContext<'_>, shards: Vec<Vec<Vec<f64>>>) -> RankOut<()> {
+    let (ys, ternary) = ctx.sttsv_multi(comm, &shards);
+    (ys, ternary, ())
+}
+
+/// The overlapped rank body: [`barrier`] on the overlapped exchange.
+fn overlapped(comm: &Comm, ctx: &RankContext<'_>, shards: Vec<Vec<Vec<f64>>>) -> RankOut<()> {
+    let (ys, ternary) = ctx.sttsv_multi_overlapped(comm, &shards);
+    (ys, ternary, ())
+}
+
+/// Runs Algorithm 5 on the simulated machine: one thread per processor,
+/// with the tensor blocks extracted per-rank (never communicated) and the
+/// input/output vectors distributed per Section 6.1.2. Same as
+/// [`parallel_sttsv_planned`] with one thread per rank.
+///
+/// `part.dim()` must equal `tensor.dim()` and `x.len()`; use
+/// [`parallel_sttsv_padded`] for arbitrary `n`.
+///
+/// ```
+/// use symtensor_parallel::{parallel_sttsv, Mode, TetraPartition};
+/// use symtensor_core::SymTensor3;
+/// use symtensor_steiner::spherical;
+///
+/// let n = 30;                                  // m = 5 row blocks, b = 6
+/// let part = TetraPartition::new(spherical(2), n).unwrap();
+/// let mut a = SymTensor3::zeros(n);
+/// for i in 0..n { a.set(i, i, i, 1.0); }       // y_i = x_i²
+/// let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
+/// let run = parallel_sttsv(&a, &part, &x, Mode::Scheduled);
+/// assert!(run.y.iter().enumerate().all(|(i, &y)| y == (i * i) as f64));
+/// assert!(run.report.bandwidth_cost() > 0);    // vectors moved, tensor did not
+/// ```
+pub fn parallel_sttsv(
     tensor: &SymTensor3,
     part: &TetraPartition,
     x: &[f64],
     mode: Mode,
-    threads: usize,
 ) -> SttsvRun {
-    if threads <= 1 {
-        return parallel_sttsv(tensor, part, x, mode);
-    }
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = Pool::new(threads);
-        let ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_pool(&pool);
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report) = universe.run(rank_main);
-
-    let mut y = vec![0.0; n];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            y[global.start + local.start..global.start + local.end].copy_from_slice(&shards[t]);
-        }
-    }
-    SttsvRun { y, report, ternary_per_rank }
+    parallel_sttsv_planned(tensor, part, x, mode, 1)
 }
 
-/// Like [`parallel_sttsv_mt`] but routed through the **compiled rank
-/// plan** ([`RankContext::with_plan`]): each rank compiles its plan on the
-/// first call and the steady state is allocation-free. Results (values,
-/// ternary counts, and the full [`CostReport`]) are bit-identical to the
-/// legacy drivers for every mode and thread count.
+/// Runs Algorithm 5 with a node-level worker pool of `threads` threads
+/// attached to every rank when `threads > 1`: the distributed algorithm
+/// (and its communication costs) are unchanged, while each rank's
+/// local-compute phase runs the pooled block kernels, bit-identical across
+/// thread counts. Each rank compiles its plan on the first call; the first
+/// vector pass reads the tensor rows in place.
 pub fn parallel_sttsv_planned(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -1463,133 +1048,40 @@ pub fn parallel_sttsv_planned(
     mode: Mode,
     threads: usize,
 ) -> SttsvRun {
-    let (run, _traces) = run_sttsv_planned(tensor, part, x, mode, threads, false);
-    run
+    run_ranks(tensor, part, &[x], mode, threads, false, barrier).run.single()
 }
 
-/// Like [`parallel_sttsv_planned`] but with per-rank event tracing enabled,
-/// so compiled-plan runs feed the same `symtensor-obs` profiling pipeline
-/// (replay, critical path, comm matrix) as the legacy drivers. The
-/// [`CostReport`] and results are identical to the untraced planned run.
-pub fn parallel_sttsv_planned_traced(
+/// Like [`parallel_sttsv_planned`] but with per-rank event tracing enabled:
+/// also returns each rank's full [`CommEvent`] log (phase-annotated
+/// sends/recvs, round annotations from the scheduled exchanges) and its
+/// **flight-recorder window** (the always-on bounded ring of send/recv/
+/// phase records), ready for the `symtensor-obs` exporters. Results and the
+/// [`CostReport`] are identical to the untraced run — tracing never touches
+/// the counters.
+pub fn parallel_sttsv_traced(
     tensor: &SymTensor3,
     part: &TetraPartition,
     x: &[f64],
     mode: Mode,
     threads: usize,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    run_sttsv_planned(tensor, part, x, mode, threads, true)
+) -> (SttsvRun, Vec<Vec<CommEvent>>, Vec<FlightSnapshot>) {
+    let out = run_ranks(tensor, part, &[x], mode, threads, true, barrier);
+    (out.run.single(), out.traces, out.flight)
 }
 
-fn run_sttsv_planned(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-    traced: bool,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report, traces) = if traced {
-        universe.run_traced(rank_main)
-    } else {
-        let (results, report) = universe.run(rank_main);
-        (results, report, Vec::new())
-    };
-
-    let mut y = vec![0.0; n];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            y[global.start + local.start..global.start + local.end].copy_from_slice(&shards[t]);
-        }
-    }
-    (SttsvRun { y, report, ternary_per_rank }, traces)
-}
-
-/// [`parallel_sttsv_multi`] routed through the compiled rank plan — the
-/// high-throughput serving configuration: blocks packed once into the
-/// arena (by the batch's second vector), the whole batch moving through
-/// one exchange-phase pair. Bit-identical to [`parallel_sttsv_multi`].
-pub fn parallel_sttsv_multi_planned(
+/// Runs [`RankContext::sttsv_multi`] on the simulated machine: all `B`
+/// contractions share one pair of exchange phases, so each rank's message
+/// and round counts equal a **single** STTSV while words scale with `B`.
+/// `threads > 1` attaches a [`Pool`] per rank, as in
+/// [`parallel_sttsv_planned`].
+pub fn parallel_sttsv_multi(
     tensor: &SymTensor3,
     part: &TetraPartition,
     xs: &[Vec<f64>],
     mode: Mode,
     threads: usize,
 ) -> SttsvMultiRun {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for (v, x) in xs.iter().enumerate() {
-        assert_eq!(x.len(), n, "vector {v} has wrong dimension");
-    }
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<Vec<f64>>> = xs
-            .iter()
-            .map(|x| {
-                part.r_set(p)
-                    .iter()
-                    .map(|&i| {
-                        let block = &x[part.block_range(i)];
-                        block[part.shard_range(i, p)].to_vec()
-                    })
-                    .collect()
-            })
-            .collect();
-        ctx.sttsv_multi(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report) = universe.run(rank_main);
-
-    let mut ys = vec![vec![0.0; n]; xs.len()];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shard_sets, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (v, shards) in shard_sets.into_iter().enumerate() {
-            for (t, &i) in part.r_set(p).iter().enumerate() {
-                let global = part.block_range(i);
-                let local = part.shard_range(i, p);
-                ys[v][global.start + local.start..global.start + local.end]
-                    .copy_from_slice(&shards[t]);
-            }
-        }
-    }
-    SttsvMultiRun { ys, report, ternary_per_rank }
+    run_ranks(tensor, part, xs, mode, threads, false, barrier).run
 }
 
 /// [`parallel_sttsv_planned`] with the **overlapped exchange** engine:
@@ -1597,7 +1089,7 @@ pub fn parallel_sttsv_multi_planned(
 /// dependency groups fire as each peer's piece lands, and (in scheduled
 /// mode) finished y rows flush their reduce contributions early. Values,
 /// ternary counts, and the full [`CostReport`] are bit-identical to the
-/// barrier-planned run — only event *timing* differs.
+/// barrier run — only event *timing* differs.
 pub fn parallel_sttsv_overlapped(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -1605,8 +1097,7 @@ pub fn parallel_sttsv_overlapped(
     mode: Mode,
     threads: usize,
 ) -> SttsvRun {
-    let (run, _traces) = run_sttsv_overlapped(tensor, part, x, mode, threads, false);
-    run
+    run_ranks(tensor, part, &[x], mode, threads, false, overlapped).run.single()
 }
 
 /// Like [`parallel_sttsv_overlapped`] but with per-rank event tracing, so
@@ -1619,65 +1110,13 @@ pub fn parallel_sttsv_overlapped_traced(
     mode: Mode,
     threads: usize,
 ) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    run_sttsv_overlapped(tensor, part, x, mode, threads, true)
+    let out = run_ranks(tensor, part, &[x], mode, threads, true, overlapped);
+    (out.run.single(), out.traces)
 }
 
-fn run_sttsv_overlapped(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x: &[f64],
-    mode: Mode,
-    threads: usize,
-    traced: bool,
-) -> (SttsvRun, Vec<Vec<CommEvent>>) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        ctx.sttsv_overlapped(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report, traces) = if traced {
-        universe.run_traced(rank_main)
-    } else {
-        let (results, report) = universe.run(rank_main);
-        (results, report, Vec::new())
-    };
-
-    let mut y = vec![0.0; n];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            y[global.start + local.start..global.start + local.end].copy_from_slice(&shards[t]);
-        }
-    }
-    (SttsvRun { y, report, ternary_per_rank }, traces)
-}
-
-/// [`parallel_sttsv_multi_planned`] with the overlapped exchange engine:
-/// the whole batch pipelines through one dependency-driven gather /
-/// compute / reduce pass per rank. Bit-identical to the barrier-planned
-/// multi-vector run.
+/// [`parallel_sttsv_multi`] with the overlapped exchange engine: the whole
+/// batch pipelines through one dependency-driven gather / compute / reduce
+/// pass per rank. Bit-identical to the barrier multi-vector run.
 pub fn parallel_sttsv_multi_overlapped(
     tensor: &SymTensor3,
     part: &TetraPartition,
@@ -1685,52 +1124,7 @@ pub fn parallel_sttsv_multi_overlapped(
     mode: Mode,
     threads: usize,
 ) -> SttsvMultiRun {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    for (v, x) in xs.iter().enumerate() {
-        assert_eq!(x.len(), n, "vector {v} has wrong dimension");
-    }
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let rank_main = |comm: &Comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<Vec<f64>>> = xs
-            .iter()
-            .map(|x| {
-                part.r_set(p)
-                    .iter()
-                    .map(|&i| {
-                        let block = &x[part.block_range(i)];
-                        block[part.shard_range(i, p)].to_vec()
-                    })
-                    .collect()
-            })
-            .collect();
-        ctx.sttsv_multi_overlapped(comm, &my_shards)
-    };
-    let universe = Universe::new(p_count);
-    let (rank_results, report) = universe.run(rank_main);
-
-    let mut ys = vec![vec![0.0; n]; xs.len()];
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    for (p, (shard_sets, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        for (v, shards) in shard_sets.into_iter().enumerate() {
-            for (t, &i) in part.r_set(p).iter().enumerate() {
-                let global = part.block_range(i);
-                let local = part.shard_range(i, p);
-                ys[v][global.start + local.start..global.start + local.end]
-                    .copy_from_slice(&shards[t]);
-            }
-        }
-    }
-    SttsvMultiRun { ys, report, ternary_per_rank }
+    run_ranks(tensor, part, xs, mode, threads, false, overlapped).run
 }
 
 /// Runs Algorithm 5 for an arbitrary dimension by zero-padding the tensor
@@ -1952,9 +1346,9 @@ mod tests {
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| ((i * 5 + 2) as f64 * 0.017).sin()).collect();
         let base = parallel_sttsv(&tensor, &part, &x, Mode::Scheduled);
-        let pooled = parallel_sttsv_mt(&tensor, &part, &x, Mode::Scheduled, 2);
+        let pooled = parallel_sttsv_planned(&tensor, &part, &x, Mode::Scheduled, 2);
         for threads in [2usize, 4, 8] {
-            let run = parallel_sttsv_mt(&tensor, &part, &x, Mode::Scheduled, threads);
+            let run = parallel_sttsv_planned(&tensor, &part, &x, Mode::Scheduled, threads);
             assert_eq!(run.ternary_per_rank, base.ternary_per_rank);
             for i in 0..n {
                 assert!(
@@ -2004,6 +1398,38 @@ mod tests {
         let run = parallel_sttsv_multi(&tensor, &part, &[], Mode::AllToAllSparse, 1);
         assert!(run.ys.is_empty());
         assert!(run.ternary_per_rank.iter().all(|&t| t == 0));
+    }
+
+    #[test]
+    fn every_barrier_entry_point_agrees() {
+        // One execution path: every barrier driver returns the same y bits
+        // and the same per-rank CostReport, each within 1e-12 of the
+        // sequential oracle.
+        let n = 30;
+        let part = TetraPartition::new(spherical(2), n).unwrap();
+        let mut rng = StdRng::seed_from_u64(25);
+        let tensor = random_symmetric(n, &mut rng);
+        let x: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) as f64 * 0.07).sin()).collect();
+        let (y_seq, _) = sttsv_sym(&tensor, &x);
+        for mode in [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse] {
+            let multi = parallel_sttsv_multi(&tensor, &part, std::slice::from_ref(&x), mode, 1);
+            let runs = [
+                ("parallel_sttsv", parallel_sttsv(&tensor, &part, &x, mode)),
+                ("parallel_sttsv_planned", parallel_sttsv_planned(&tensor, &part, &x, mode, 1)),
+                ("parallel_sttsv_multi", multi.single()),
+                ("parallel_sttsv_traced", parallel_sttsv_traced(&tensor, &part, &x, mode, 1).0),
+                ("parallel_sttsv_padded", parallel_sttsv_padded(&tensor, spherical(2), &x, mode)),
+            ];
+            let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (_, first) = &runs[0];
+            for (name, run) in &runs {
+                assert_eq!(bits(&run.y), bits(&first.y), "{mode:?} {name}: y bits");
+                assert_eq!(run.report, first.report, "{mode:?} {name}: CostReport");
+                for (i, (y, r)) in run.y.iter().zip(&y_seq).enumerate() {
+                    assert!((y - r).abs() < 1e-12 * (1.0 + r.abs()), "{mode:?} {name} y[{i}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -507,9 +507,9 @@ fn run_blocks<'d, R: Rows<'d>>(
 /// `y.len() + 3b`-word workspace leased from the pool, tree-reduces the
 /// partials pairwise in fixed chunk order and adds the result into `y`.
 ///
-/// Because legacy and plan paths funnel through the *same* decomposition,
-/// lease discipline and reduction tree, their pooled results are bitwise
-/// equal whenever their per-block kernels are.
+/// Because [`OwnedBlocks::compute_par`] and the plan funnel through the
+/// *same* decomposition, lease discipline and reduction tree, their pooled
+/// results are bitwise equal whenever their per-block kernels are.
 pub(crate) fn chunked_compute_flat<F>(
     n_blocks: usize,
     b: usize,

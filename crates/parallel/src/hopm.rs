@@ -7,13 +7,12 @@
 //! iterations; each iteration costs one Algorithm-5 STTSV plus two small
 //! all-reduces (norm/Rayleigh-quotient scalars and the convergence test).
 
-use crate::algorithm5::{Mode, RankContext};
+use crate::algorithm5::{run_ranks, Mode, RankContext};
 use crate::partition::TetraPartition;
-use crate::schedule::CommSchedule;
 use symtensor_core::hopm::{HopmOptions, HopmResult};
 use symtensor_core::seq::OpCount;
 use symtensor_core::SymTensor3;
-use symtensor_mpsim::{Comm, CostReport, Universe};
+use symtensor_mpsim::{Comm, CostReport};
 
 /// Runs HOPM on the simulated machine. Returns the result (assembled on the
 /// driver) plus the full communication report.
@@ -38,84 +37,20 @@ pub fn parallel_shifted_hopm(
     opts: HopmOptions,
     mode: Mode,
 ) -> (HopmResult, CostReport) {
-    parallel_shifted_hopm_mt(tensor, part, x0, alpha, opts, mode, 1)
+    parallel_shifted_hopm_planned(tensor, part, x0, alpha, opts, mode, 1)
 }
 
 /// [`parallel_shifted_hopm`] with a node-level worker pool of `threads`
 /// threads per rank for the local-compute phase of every STTSV iteration
 /// (see [`RankContext::with_pool`]); `threads ≤ 1` runs the sequential
-/// kernels. The distributed algorithm and its communication costs are
-/// unchanged, and the pooled kernels are bit-identical across thread
-/// counts, so the iteration trajectory does not depend on `threads` beyond
-/// the pooled-vs-sequential reduction order.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_shifted_hopm_mt(
-    tensor: &SymTensor3,
-    part: &TetraPartition,
-    x0: &[f64],
-    alpha: f64,
-    opts: HopmOptions,
-    mode: Mode,
-    threads: usize,
-) -> (HopmResult, CostReport) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x0.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let (rank_results, report) = Universe::new(p_count).run(|comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| symtensor_pool::Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x0[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        rank_hopm(comm, &ctx, my_shards, alpha, opts)
-    });
-
-    // Assemble x from the rank shards; scalars agree on all ranks.
-    let mut x = vec![0.0; n];
-    let mut lambda = 0.0;
-    let mut iters = 0;
-    let mut converged = false;
-    let mut residual = 0.0;
-    // Machine-wide work: sum of per-rank §7.1 ternary-multiplication
-    // counts. (The distributed kernel does not track iteration-space
-    // points, so `ops.points` stays 0; the parallel residual comes from
-    // scalar all-reduces, not an extra STTSV, so no final-call term.)
-    let mut ops = OpCount::default();
-    for (p, out) in rank_results.into_iter().enumerate() {
-        lambda = out.lambda;
-        iters = out.iters;
-        converged = out.converged;
-        residual = out.residual;
-        ops.ternary_mults += out.ternary;
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            x[global.start + local.start..global.start + local.end]
-                .copy_from_slice(&out.x_shards[t]);
-        }
-    }
-    (HopmResult { lambda, x, iters, converged, residual, ops }, report)
-}
-
-/// [`parallel_shifted_hopm_mt`] running on compiled rank plans
-/// ([`RankContext::with_plan`]): each rank compiles its plan once, before
-/// the first iteration; the first STTSV reads the tensor rows in place, the
-/// second builds the rank's arena, and every later STTSV runs
-/// allocation-free over it and preallocated flat slabs. The iteration
-/// trajectory is bit-identical to the legacy path at every thread count;
-/// only the steady-state memory behaviour changes.
+/// kernels. Each rank compiles its plan once, before the first iteration;
+/// the first STTSV reads the tensor rows in place, the second builds the
+/// rank's arena, and every later STTSV runs allocation-free over it and
+/// preallocated flat slabs. The distributed algorithm and its
+/// communication costs do not depend on `threads`, and the pooled kernels
+/// are bit-identical across thread counts, so the iteration trajectory
+/// depends on `threads` only through the pooled-vs-sequential reduction
+/// order.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_shifted_hopm_planned(
     tensor: &SymTensor3,
@@ -126,70 +61,49 @@ pub fn parallel_shifted_hopm_planned(
     mode: Mode,
     threads: usize,
 ) -> (HopmResult, CostReport) {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x0.len(), n);
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let (rank_results, report) = Universe::new(p_count).run(|comm| {
-        let p = comm.rank();
-        let pool = (threads > 1).then(|| symtensor_pool::Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
-        if let Some(pool) = pool.as_ref() {
-            ctx = ctx.with_pool(pool);
-        }
-        let my_shards: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .map(|&i| {
-                let block = &x0[part.block_range(i)];
-                block[part.shard_range(i, p)].to_vec()
-            })
-            .collect();
-        rank_hopm(comm, &ctx, my_shards, alpha, opts)
+    let out = run_ranks(tensor, part, &[x0], mode, threads, false, |comm, ctx, mut shards| {
+        let x0_shards = shards.pop().expect("one start vector");
+        let (x_shards, ternary, scalars) = rank_hopm(comm, ctx, x0_shards, alpha, opts);
+        (vec![x_shards], ternary, scalars)
     });
-
-    let mut x = vec![0.0; n];
-    let mut lambda = 0.0;
-    let mut iters = 0;
-    let mut converged = false;
-    let mut residual = 0.0;
-    let mut ops = OpCount::default();
-    for (p, out) in rank_results.into_iter().enumerate() {
-        lambda = out.lambda;
-        iters = out.iters;
-        converged = out.converged;
-        residual = out.residual;
-        ops.ternary_mults += out.ternary;
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            x[global.start + local.start..global.start + local.end]
-                .copy_from_slice(&out.x_shards[t]);
-        }
-    }
-    (HopmResult { lambda, x, iters, converged, residual, ops }, report)
+    // Scalars agree on all ranks. Machine-wide work is the sum of per-rank
+    // §7.1 ternary-multiplication counts. (The distributed kernel does not
+    // track iteration-space points, so `ops.points` stays 0; the parallel
+    // residual comes from scalar all-reduces, not an extra STTSV, so no
+    // final-call term.)
+    let s = *out.extras.last().expect("at least one rank");
+    let ops =
+        OpCount { ternary_mults: out.run.ternary_per_rank.iter().sum(), ..OpCount::default() };
+    let x = out.run.ys.into_iter().next().expect("one iterate");
+    let result = HopmResult {
+        lambda: s.lambda,
+        x,
+        iters: s.iters,
+        converged: s.converged,
+        residual: s.residual,
+        ops,
+    };
+    (result, out.run.report)
 }
 
-/// Per-rank HOPM state returned to the driver.
-struct RankHopmOut {
-    x_shards: Vec<Vec<f64>>,
+/// Per-rank HOPM scalars returned to the driver (identical on every rank).
+#[derive(Clone, Copy)]
+struct HopmScalars {
     lambda: f64,
     iters: usize,
     converged: bool,
     residual: f64,
-    /// Ternary multiplications this rank performed across all iterations.
-    ternary: u64,
 }
 
+/// One rank's HOPM iteration; returns its final `x` shards, the ternary
+/// multiplications it performed across all iterations, and the scalars.
 fn rank_hopm(
     comm: &Comm,
     ctx: &RankContext<'_>,
     mut x_shards: Vec<Vec<f64>>,
     alpha: f64,
     opts: HopmOptions,
-) -> RankHopmOut {
+) -> (Vec<Vec<f64>>, u64, HopmScalars) {
     // Normalize the start vector globally.
     let local_sq: f64 = x_shards.iter().flatten().map(|&v| v * v).sum();
     let norm0 = comm.all_reduce(vec![local_sq]).expect("norm all-reduce")[0].sqrt();
@@ -250,7 +164,7 @@ fn rank_hopm(
             break;
         }
     }
-    RankHopmOut { x_shards, lambda, iters, converged, residual, ternary }
+    (x_shards, ternary, HopmScalars { lambda, iters, converged, residual })
 }
 
 #[cfg(test)]
@@ -347,7 +261,7 @@ mod tests {
         let (base, base_report) =
             parallel_shifted_hopm(&odeco.tensor, &part, &x0, 0.0, opts, Mode::Scheduled);
         let (mt, mt_report) =
-            parallel_shifted_hopm_mt(&odeco.tensor, &part, &x0, 0.0, opts, Mode::Scheduled, 4);
+            parallel_shifted_hopm_planned(&odeco.tensor, &part, &x0, 0.0, opts, Mode::Scheduled, 4);
         assert!(mt.converged);
         assert!((mt.lambda - base.lambda).abs() < 1e-10);
         assert_eq!(mt.iters, base.iters);
@@ -368,9 +282,11 @@ mod tests {
         x0[2] += 0.05;
         let opts = HopmOptions { tol: 1e-12, max_iters: 500 };
         for mode in [Mode::Scheduled, Mode::AllToAllSparse, Mode::AllToAllPadded] {
+            // The one-thread entry point is the planned driver without a
+            // pool, and every run is reproducible bit for bit.
+            let (base, base_report) =
+                parallel_shifted_hopm(&odeco.tensor, &part, &x0, 0.0, opts, mode);
             for threads in [1usize, 3] {
-                let (base, base_report) =
-                    parallel_shifted_hopm_mt(&odeco.tensor, &part, &x0, 0.0, opts, mode, threads);
                 let (plan, plan_report) = parallel_shifted_hopm_planned(
                     &odeco.tensor,
                     &part,
@@ -380,11 +296,26 @@ mod tests {
                     mode,
                     threads,
                 );
-                assert_eq!(plan.x, base.x, "{mode:?} t={threads}: trajectory must be bit-equal");
-                assert_eq!(plan.lambda.to_bits(), base.lambda.to_bits());
+                let (again, again_report) = parallel_shifted_hopm_planned(
+                    &odeco.tensor,
+                    &part,
+                    &x0,
+                    0.0,
+                    opts,
+                    mode,
+                    threads,
+                );
+                assert_eq!(plan.x, again.x, "{mode:?} t={threads}: trajectory must be bit-equal");
+                assert_eq!(plan.lambda.to_bits(), again.lambda.to_bits());
+                assert_eq!(plan_report, again_report);
+                if threads == 1 {
+                    assert_eq!(plan.x, base.x, "{mode:?}: trajectory must be bit-equal");
+                    assert_eq!(plan.lambda.to_bits(), base.lambda.to_bits());
+                }
                 assert_eq!(plan.iters, base.iters);
                 assert_eq!(plan.ops.ternary_mults, base.ops.ternary_mults);
-                assert_eq!(plan_report, base_report, "comm counters must not change");
+                // Communication is a function of the partition only.
+                assert_eq!(plan_report, base_report, "{mode:?} t={threads}: comm counters");
             }
             // The pooled kernels are deterministic in the thread count: any
             // pool size reproduces the same fixed chunk tree.

@@ -3,132 +3,56 @@
 //!
 //! Mode-1 symmetric MTTKRP `Y_{iℓ} = Σ_{jk} a_{ijk} X_{jℓ} X_{kℓ}` is one
 //! STTSV per factor column, so the tetrahedral distribution applies
-//! unchanged: each rank owns, for every row block `i ∈ R_p`, its shard of
-//! **all `r` columns**. The gather/reduce phases ship all columns together
-//! ("wide" shards), so the round structure (and hence the latency cost) is
-//! identical to a single STTSV while the bandwidth scales by exactly `r` —
-//! the best possible, since each column is an independent STTSV subject to
-//! the Theorem 5.2 bound.
+//! unchanged: it runs as **one batched STTSV** over the `r` columns
+//! ([`RankContext::sttsv_multi`]). Every exchange message carries each
+//! shared row block's `r` column pieces back to back, so the round
+//! structure (and hence the latency cost) is identical to a single STTSV
+//! while the bandwidth scales by exactly `r` — the best possible, since
+//! each column is an independent STTSV subject to the Theorem 5.2 bound.
 //!
 //! On top of MTTKRP, [`parallel_cp_gradient`] evaluates the paper's
 //! Algorithm 2 (`Y = X·[(XᵀX)∗(XᵀX)] − MTTKRP(𝓐, X)`) with the Gram matrix
 //! assembled by an `r²`-word all-reduce of per-rank partial Grams.
 
-use crate::algorithm5::{Mode, RankContext};
+use crate::algorithm5::{run_ranks, Mode, RankContext};
 use crate::partition::TetraPartition;
-use crate::schedule::CommSchedule;
 use symtensor_core::ops::Matrix;
 use symtensor_core::SymTensor3;
-use symtensor_mpsim::{Comm, CostReport, Universe};
-
-const TAG_MX: u64 = 3 << 40;
-const TAG_MY: u64 = 4 << 40;
+use symtensor_mpsim::{Comm, CostReport};
 
 impl RankContext<'_> {
     /// One distributed MTTKRP over `r` columns. `my_wide_shards[t]` holds
     /// this rank's shard of row block `R_p[t]` for every column,
     /// column-major: `[col0 shard | col1 shard | …]`. Returns wide `y`
     /// shards (same layout) and the ternary-multiplication count.
+    ///
+    /// Splits the wide shards into `r` column shard sets, runs them as one
+    /// [`RankContext::sttsv_multi`] batch, and interleaves the result back.
     pub fn mttkrp(
         &self,
         comm: &Comm,
         my_wide_shards: &[Vec<f64>],
         r: usize,
     ) -> (Vec<Vec<f64>>, u64) {
-        let part = self.part;
         let p = comm.rank();
-        let rp = part.r_set(p);
+        let rp = self.part.r_set(p);
         assert_eq!(my_wide_shards.len(), rp.len());
-        let b = part.block_size();
-
-        // --- Gather wide x row blocks: x_wide[t] is b·r long, column-major.
-        let mut x_wide: Vec<Vec<f64>> = vec![vec![0.0; b * r]; rp.len()];
-        for (t, &i) in rp.iter().enumerate() {
-            let range = part.shard_range(i, p);
-            let s = range.len();
-            assert_eq!(my_wide_shards[t].len(), s * r, "wide shard must hold r columns");
-            for col in 0..r {
-                x_wide[t][col * b + range.start..col * b + range.end]
-                    .copy_from_slice(&my_wide_shards[t][col * s..(col + 1) * s]);
-            }
+        let lens: Vec<usize> = rp.iter().map(|&i| self.part.shard_range(i, p).len()).collect();
+        for (wide, &s) in my_wide_shards.iter().zip(&lens) {
+            assert_eq!(wide.len(), s * r, "wide shard must hold r columns");
         }
-        self.exchange_phase(
-            comm,
-            TAG_MX,
-            r,
-            |_, t, _peer| my_wide_shards[t].clone(),
-            |i, t, peer| {
-                let range = part.shard_range(i, peer);
-                let s = range.len();
-                (
-                    s * r,
-                    Box::new(move |x_dst: &mut [Vec<f64>], piece: &[f64]| {
-                        for col in 0..r {
-                            x_dst[t][col * b + range.start..col * b + range.end]
-                                .copy_from_slice(&piece[col * s..(col + 1) * s]);
-                        }
-                    }),
-                )
-            },
-            &mut x_wide,
-        );
-
-        // --- Compute: run the block kernels once per column.
-        let mut y_wide: Vec<Vec<f64>> = vec![vec![0.0; b * r]; rp.len()];
-        let mut ternary = 0u64;
-        for col in 0..r {
-            let x_col: Vec<Vec<f64>> =
-                x_wide.iter().map(|wide| wide[col * b..(col + 1) * b].to_vec()).collect();
-            let mut y_col: Vec<Vec<f64>> = vec![vec![0.0; b]; rp.len()];
-            ternary += self.owned.compute(&x_col, &mut y_col, |i| rp.binary_search(&i).unwrap());
-            for (t, y) in y_col.into_iter().enumerate() {
-                y_wide[t][col * b..(col + 1) * b].copy_from_slice(&y);
-            }
-        }
-
-        // --- Reduce wide y shards.
-        let mut y_out: Vec<Vec<f64>> = rp
-            .iter()
-            .enumerate()
-            .map(|(t, &i)| {
-                let range = part.shard_range(i, p);
-                let s = range.len();
-                let mut out = vec![0.0; s * r];
-                for col in 0..r {
-                    out[col * s..(col + 1) * s]
-                        .copy_from_slice(&y_wide[t][col * b + range.start..col * b + range.end]);
-                }
-                out
+        let columns: Vec<Vec<Vec<f64>>> = (0..r)
+            .map(|col| {
+                my_wide_shards
+                    .iter()
+                    .zip(&lens)
+                    .map(|(wide, &s)| wide[col * s..(col + 1) * s].to_vec())
+                    .collect()
             })
             .collect();
-        self.exchange_phase(
-            comm,
-            TAG_MY,
-            r,
-            |i, t, peer| {
-                let range = part.shard_range(i, peer);
-                let s = range.len();
-                let mut buf = Vec::with_capacity(s * r);
-                for col in 0..r {
-                    buf.extend_from_slice(&y_wide[t][col * b + range.start..col * b + range.end]);
-                }
-                buf
-            },
-            |i, t, _peer| {
-                let s = part.shard_range(i, p).len();
-                (
-                    s * r,
-                    Box::new(move |y_dst: &mut [Vec<f64>], piece: &[f64]| {
-                        for (acc, &v) in y_dst[t].iter_mut().zip(piece) {
-                            *acc += v;
-                        }
-                    }),
-                )
-            },
-            &mut y_out,
-        );
-
-        (y_out, ternary)
+        let (ys, ternary) = self.sttsv_multi(comm, &columns);
+        let wide = (0..rp.len()).map(|t| ys.iter().flat_map(|y| y[t].iter().copied()).collect());
+        (wide.collect(), ternary)
     }
 }
 
@@ -143,74 +67,40 @@ pub struct MttkrpRun {
     pub ternary_per_rank: Vec<u64>,
 }
 
-/// Slices rank `p`'s wide shards of a replicated `n × r` matrix.
-fn wide_shards(part: &TetraPartition, p: usize, mat: &Matrix) -> Vec<Vec<f64>> {
-    let r = mat.cols();
-    part.r_set(p)
-        .iter()
-        .map(|&i| {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            let s = local.len();
-            let mut shard = Vec::with_capacity(s * r);
-            for col in 0..r {
-                for off in local.clone() {
-                    shard.push(mat.get(global.start + off, col));
-                }
-            }
-            let _ = s;
-            shard
-        })
-        .collect()
-}
-
-/// Assembles rank results (wide y shards) into an `n × r` matrix.
-fn assemble(part: &TetraPartition, r: usize, rank_shards: Vec<(usize, Vec<Vec<f64>>)>) -> Matrix {
-    let n = part.dim();
-    let mut y = Matrix::zeros(n, r);
-    for (p, shards) in rank_shards {
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let global = part.block_range(i);
-            let local = part.shard_range(i, p);
-            let s = local.len();
-            for col in 0..r {
-                for (off_idx, off) in local.clone().enumerate() {
-                    y.set(global.start + off, col, shards[t][col * s + off_idx]);
-                }
-            }
-        }
+/// Runs `body` on every rank over the shards of `x_mat`'s columns and
+/// assembles the returned column shards into an `n × r` matrix.
+fn run_columns<F>(
+    tensor: &SymTensor3,
+    part: &TetraPartition,
+    x_mat: &Matrix,
+    mode: Mode,
+    body: F,
+) -> MttkrpRun
+where
+    F: Fn(&Comm, &RankContext<'_>, Vec<Vec<Vec<f64>>>) -> (Vec<Vec<Vec<f64>>>, u64) + Sync,
+{
+    assert_eq!(x_mat.rows(), part.dim());
+    let columns: Vec<Vec<f64>> = (0..x_mat.cols()).map(|c| x_mat.col(c)).collect();
+    let out = run_ranks(tensor, part, &columns, mode, 1, false, |comm, ctx, shards| {
+        let (ys, ternary) = body(comm, ctx, shards);
+        (ys, ternary, ())
+    });
+    let mut y = Matrix::zeros(part.dim(), columns.len());
+    for (c, col) in out.run.ys.iter().enumerate() {
+        y.set_col(c, col);
     }
-    y
+    MttkrpRun { y, report: out.run.report, ternary_per_rank: out.run.ternary_per_rank }
 }
 
-/// Runs the distributed symmetric MTTKRP on the simulated machine.
+/// Runs the distributed symmetric MTTKRP on the simulated machine: one
+/// batched STTSV over the factor's columns.
 pub fn parallel_mttkrp(
     tensor: &SymTensor3,
     part: &TetraPartition,
     x_mat: &Matrix,
     mode: Mode,
 ) -> MttkrpRun {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x_mat.rows(), n);
-    let r = x_mat.cols();
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let (rank_results, report) = Universe::new(p_count).run(|comm| {
-        let p = comm.rank();
-        let ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
-        let shards = wide_shards(part, p, x_mat);
-        ctx.mttkrp(comm, &shards, r)
-    });
-
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    let mut rank_shards = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        rank_shards.push((p, shards));
-    }
-    MttkrpRun { y: assemble(part, r, rank_shards), report, ternary_per_rank }
+    run_columns(tensor, part, x_mat, mode, |comm, ctx, columns| ctx.sttsv_multi(comm, &columns))
 }
 
 /// Distributed Algorithm 2: the symmetric CP gradient
@@ -223,27 +113,17 @@ pub fn parallel_cp_gradient(
     x_mat: &Matrix,
     mode: Mode,
 ) -> MttkrpRun {
-    let n = part.dim();
-    assert_eq!(tensor.dim(), n);
-    assert_eq!(x_mat.rows(), n);
     let r = x_mat.cols();
-    let p_count = part.num_procs();
-    let schedule = if mode == Mode::Scheduled { Some(CommSchedule::build(part)) } else { None };
-
-    let (rank_results, report) = Universe::new(p_count).run(|comm| {
-        let p = comm.rank();
-        let ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
-        let shards = wide_shards(part, p, x_mat);
+    run_columns(tensor, part, x_mat, mode, |comm, ctx, cols| {
+        let t_count = part.r_set(comm.rank()).len();
         // Distributed Gram: each rank contributes its owned rows.
         let mut partial = vec![0.0; r * r];
-        for (t, &i) in part.r_set(p).iter().enumerate() {
-            let local = part.shard_range(i, p);
-            let s = local.len();
-            for a in 0..r {
-                for bb in 0..r {
+        for t in 0..t_count {
+            for (a, col_a) in cols.iter().enumerate() {
+                for (bb, col_b) in cols.iter().enumerate() {
                     let mut acc = 0.0;
-                    for off in 0..s {
-                        acc += shards[t][a * s + off] * shards[t][bb * s + off];
+                    for (&u, &v) in col_a[t].iter().zip(&col_b[t]) {
+                        acc += u * v;
                     }
                     partial[a * r + bb] += acc;
                 }
@@ -252,38 +132,28 @@ pub fn parallel_cp_gradient(
         let gram = comm.all_reduce(partial).expect("gram all-reduce");
         // G = (XᵀX) ∗ (XᵀX).
         let g: Vec<f64> = gram.iter().map(|&v| v * v).collect();
-        // MTTKRP part.
-        let (mttkrp_shards, ternary) = ctx.mttkrp(comm, &shards, r);
+        let (mttkrp, ternary) = ctx.sttsv_multi(comm, &cols);
         // Y = X·G − MTTKRP, computed on the owned shards only.
-        let out: Vec<Vec<f64>> = part
-            .r_set(p)
-            .iter()
-            .enumerate()
-            .map(|(t, &i)| {
-                let s = part.shard_range(i, p).len();
-                let mut y = vec![0.0; s * r];
-                for col in 0..r {
-                    for off in 0..s {
-                        let mut acc = 0.0;
-                        for inner in 0..r {
-                            acc += shards[t][inner * s + off] * g[inner * r + col];
-                        }
-                        y[col * s + off] = acc - mttkrp_shards[t][col * s + off];
-                    }
-                }
-                y
+        let out = (0..r)
+            .map(|col| {
+                (0..t_count)
+                    .map(|t| {
+                        let m = &mttkrp[col][t];
+                        (0..m.len())
+                            .map(|off| {
+                                let mut acc = 0.0;
+                                for inner in 0..r {
+                                    acc += cols[inner][t][off] * g[inner * r + col];
+                                }
+                                acc - m[off]
+                            })
+                            .collect()
+                    })
+                    .collect()
             })
             .collect();
         (out, ternary)
-    });
-
-    let mut ternary_per_rank = Vec::with_capacity(p_count);
-    let mut rank_shards = Vec::with_capacity(p_count);
-    for (p, (shards, ternary)) in rank_results.into_iter().enumerate() {
-        ternary_per_rank.push(ternary);
-        rank_shards.push((p, shards));
-    }
-    MttkrpRun { y: assemble(part, r, rank_shards), report, ternary_per_rank }
+    })
 }
 
 #[cfg(test)]
@@ -371,17 +241,70 @@ mod tests {
 
     #[test]
     fn single_column_mttkrp_equals_sttsv_run() {
+        // MTTKRP is batched STTSV over the factor's columns: column c is
+        // bit for bit the batch's c-th output, and the counts are the
+        // batch's, in every mode and for any r (r = 1 included).
         let n = 30;
         let part = TetraPartition::new(spherical(2), n).unwrap();
         let mut rng = StdRng::seed_from_u64(57);
         let tensor = random_symmetric(n, &mut rng);
-        let x = random_factor(n, 1, 58);
-        let mrun = parallel_mttkrp(&tensor, &part, &x, Mode::Scheduled);
-        let xvec = x.col(0);
-        let srun = crate::parallel_sttsv(&tensor, &part, &xvec, Mode::Scheduled);
-        for i in 0..n {
-            assert!((mrun.y.get(i, 0) - srun.y[i]).abs() < 1e-12);
+        for r in [1usize, 3] {
+            let x = random_factor(n, r, 58 + r as u64);
+            let columns: Vec<Vec<f64>> = (0..r).map(|c| x.col(c)).collect();
+            for mode in [Mode::Scheduled, Mode::AllToAllPadded, Mode::AllToAllSparse] {
+                let mrun = parallel_mttkrp(&tensor, &part, &x, mode);
+                let srun = crate::parallel_sttsv_multi(&tensor, &part, &columns, mode, 1);
+                for (c, y) in srun.ys.iter().enumerate() {
+                    for (i, v) in y.iter().enumerate() {
+                        assert_eq!(mrun.y.get(i, c).to_bits(), v.to_bits(), "{mode:?} r={r}");
+                    }
+                }
+                assert_eq!(mrun.ternary_per_rank, srun.ternary_per_rank, "{mode:?} r={r}");
+                assert_eq!(mrun.report, srun.report, "{mode:?} r={r}");
+            }
         }
-        assert_eq!(mrun.report, srun.report);
+    }
+
+    #[test]
+    fn wide_shard_mttkrp_matches_the_driver() {
+        // The per-rank wide layout ([col0 shard | col1 shard | …]) is a
+        // re-interleaving of the driver's batched run.
+        let n = 30;
+        let r = 3;
+        let part = TetraPartition::new(spherical(2), n).unwrap();
+        let mut rng = StdRng::seed_from_u64(59);
+        let tensor = random_symmetric(n, &mut rng);
+        let x = random_factor(n, r, 60);
+        let schedule = crate::CommSchedule::build(&part);
+        let (wide, report) = symtensor_mpsim::Universe::new(part.num_procs()).run(|comm| {
+            let p = comm.rank();
+            let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
+            let shards: Vec<Vec<f64>> = part
+                .r_set(p)
+                .iter()
+                .map(|&i| {
+                    let start = part.block_range(i).start;
+                    (0..r)
+                        .flat_map(|c| part.shard_range(i, p).map(move |off| (start + off, c)))
+                        .map(|(row, c)| x.get(row, c))
+                        .collect()
+                })
+                .collect();
+            ctx.mttkrp(comm, &shards, r).0
+        });
+        let run = parallel_mttkrp(&tensor, &part, &x, Mode::Scheduled);
+        assert_eq!(report, run.report);
+        for (p, shards) in wide.iter().enumerate() {
+            for (&i, shard) in part.r_set(p).iter().zip(shards) {
+                let (start, local) = (part.block_range(i).start, part.shard_range(i, p));
+                let s = local.len();
+                for c in 0..r {
+                    for (k, off) in local.clone().enumerate() {
+                        let want = run.y.get(start + off, c);
+                        assert_eq!(shard[c * s + k].to_bits(), want.to_bits(), "rank {p}");
+                    }
+                }
+            }
+        }
     }
 }

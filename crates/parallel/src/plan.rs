@@ -1,12 +1,12 @@
-//! Compiled rank plans: the allocation-free steady state for iterated
-//! STTSV.
+//! Compiled rank plans: the one execution path of every distributed
+//! contraction, allocation-free in steady state.
 //!
 //! Under the owner-compute rule a rank's tetrahedral blocks, its exchange
 //! partners and every message layout are **fixed for the lifetime of the
-//! distribution** — yet the straightforward hot path rebuilds all of that
-//! per call: nested `Vec<Vec<f64>>` exchange buffers, per-block row-slot
-//! lookups, per-block local accumulators. A [`RankPlan`] resolves
-//! everything once, at compile time:
+//! distribution**, so nothing about them needs rebuilding per call: no
+//! nested `Vec<Vec<f64>>` exchange buffers, per-block row-slot lookups or
+//! per-block local accumulators. A [`RankPlan`] resolves everything once,
+//! at compile time:
 //!
 //! * **Shared block rows** — the plan holds a second handle to the rank's
 //!   [`OwnedBlocks`] row store rather than a copy of it, plus a per-block
@@ -31,12 +31,13 @@
 //!
 //! The plan's kernels are the same flat register-tiled kernels as
 //! [`crate::blocks`] (shared down to the `row_segment` inner loop of
-//! `core::seq`; in-place and arena passes are bit-identical), its pooled
-//! compute funnels through the same chunk decomposition and
-//! [`symtensor_pool::tree_reduce`] tree, and its message layouts
-//! byte-match the legacy exchange — so the plan path is
-//! **bit-identical** to the legacy path across runs and thread counts, and
-//! its word/message/round counts are exactly the legacy ones.
+//! `core::seq`; in-place and arena passes are bit-identical), and its
+//! pooled compute funnels through the same chunk decomposition and
+//! [`symtensor_pool::tree_reduce`] tree as [`OwnedBlocks::compute_par`].
+//! Each message carries, per row block shared with the peer (ascending),
+//! the batch's pieces back to back, so words scale with the batch while
+//! messages and rounds do not. Results are bit-identical across runs and
+//! thread counts.
 
 use crate::blocks::{
     add_into, chunked_compute_flat, OwnedBlocks, Pass, RowStore, MAX_COMPUTE_CHUNKS,
@@ -101,8 +102,8 @@ pub struct PieceMeta {
 pub struct PeerPlan {
     /// The peer's rank.
     pub peer: usize,
-    /// One piece per shared row block, ascending block index — the same
-    /// order the legacy exchange packs, so messages byte-match.
+    /// One piece per shared row block, ascending block index — the order
+    /// messages are packed in.
     pub pieces: Vec<PieceMeta>,
     /// Per-vector words this rank sends in gather (= receives in reduce).
     pub my_words: usize,
@@ -132,8 +133,8 @@ pub struct RankPlan<'a> {
     /// [`OwnedBlocks`] the plan was built from.
     store: Arc<RowStore<'a>>,
     blocks: Vec<PlanBlock>,
-    /// Every peer (all ranks but this one), in rank order — matching the
-    /// legacy all-to-all peer iteration.
+    /// Every peer (all ranks but this one), in rank order — the order the
+    /// all-to-all modes pack and apply messages in.
     peers: Vec<PeerPlan>,
     /// rank → index into `peers` (`usize::MAX` for self).
     peer_index: Vec<usize>,
@@ -422,10 +423,10 @@ impl<'a> RankPlan<'a> {
     }
 
     /// Packs the outgoing message for peer slot `pidx`: for each shared
-    /// row block (ascending), the `batch` vectors' pieces back-to-back —
-    /// byte-identical to the legacy exchange layout. The buffer comes from
-    /// the workspace free list (allocation-free in steady state); the
-    /// caller sends it (and the peer's unpack recycles it on their side).
+    /// row block (ascending), the `batch` vectors' pieces back-to-back. The
+    /// buffer comes from the workspace free list (allocation-free in steady
+    /// state); the caller sends it (and the peer's unpack recycles it on
+    /// their side).
     pub fn pack(
         &self,
         ws: &mut PlanWorkspace,
@@ -453,8 +454,7 @@ impl<'a> RankPlan<'a> {
     /// buffer into the workspace free list. Gather copies the peer's
     /// shards into the `x` slabs; reduce accumulates the peer's partials
     /// into this rank's shard ranges of the `y` slabs. Padded messages may
-    /// carry a zero tail beyond the packed pieces; it is ignored, exactly
-    /// like the legacy unpack.
+    /// carry a zero tail beyond the packed pieces; it is ignored.
     pub fn unpack(
         &self,
         ws: &mut PlanWorkspace,
@@ -489,7 +489,7 @@ impl<'a> RankPlan<'a> {
     /// each [`PlanBlock`] to the shared flat kernels. With a pool, each
     /// vector funnels through the same chunk decomposition, workspace
     /// leases and reduction tree as [`OwnedBlocks::compute_par`] — so the
-    /// result is bit-identical to the legacy path across thread counts.
+    /// result is bit-identical to it and across thread counts.
     /// Returns the exact ternary-multiplication count.
     pub fn compute(&self, ws: &mut PlanWorkspace, batch: usize, pool: Option<&Pool>) -> u64 {
         let mut ternary = 0u64;

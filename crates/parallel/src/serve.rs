@@ -1,6 +1,6 @@
 //! Batched serving of STTSV requests with request-scoped tracing.
 //!
-//! The throughput path ([`parallel_sttsv_multi_planned`]) amortizes the α
+//! The throughput path ([`parallel_sttsv_multi`]) amortizes the α
 //! term by moving a whole batch through one exchange-phase pair — but it
 //! answers only "how long did the batch take". A serving system needs the
 //! *per-request* decomposition: how long did request 17 queue, how long
@@ -12,13 +12,13 @@
 //! each request's id through the flight recorder, the `CommEvent` log and
 //! the worker pool's workspace leases while its kernel runs.
 //!
-//! Results are bit-identical to [`parallel_sttsv_multi_planned`] over the
+//! Results are bit-identical to [`parallel_sttsv_multi`] over the
 //! same batches: the serving layer changes *when* things are measured,
 //! never *what* is computed.
 //!
-//! [`parallel_sttsv_multi_planned`]: crate::algorithm5::parallel_sttsv_multi_planned
+//! [`parallel_sttsv_multi`]: crate::algorithm5::parallel_sttsv_multi
 
-use crate::algorithm5::{BatchSpans, Mode, RankContext};
+use crate::algorithm5::{rank_shards, BatchSpans, Mode, RankContext};
 use crate::partition::TetraPartition;
 use crate::schedule::CommSchedule;
 use std::sync::Arc;
@@ -163,10 +163,10 @@ struct RankBatch {
 #[derive(Clone, Debug)]
 pub struct ServeRun {
     /// `ys[i]` is the assembled output for `requests[i]`, in submission
-    /// order — bit-identical to [`parallel_sttsv_multi_planned`] over the
+    /// order — bit-identical to [`parallel_sttsv_multi`] over the
     /// same batches.
     ///
-    /// [`parallel_sttsv_multi_planned`]: crate::algorithm5::parallel_sttsv_multi_planned
+    /// [`parallel_sttsv_multi`]: crate::algorithm5::parallel_sttsv_multi
     pub ys: Vec<Vec<f64>>,
     /// Exact communication costs of the whole run.
     pub report: CostReport,
@@ -181,18 +181,7 @@ pub struct ServeRun {
 
 /// Extracts one rank's shards for every request in a batch.
 fn extract_shards(part: &TetraPartition, p: usize, batch: &[ServeRequest]) -> Vec<Vec<Vec<f64>>> {
-    batch
-        .iter()
-        .map(|r| {
-            part.r_set(p)
-                .iter()
-                .map(|&i| {
-                    let block = &r.x[part.block_range(i)];
-                    block[part.shard_range(i, p)].to_vec()
-                })
-                .collect()
-        })
-        .collect()
+    batch.iter().map(|r| rank_shards(part, p, &r.x)).collect()
 }
 
 /// Straggler-merges one batch's per-rank measurements into request
@@ -339,7 +328,7 @@ pub fn parallel_sttsv_serve_with(
     let rank_main = |comm: &Comm| {
         let p = comm.rank();
         let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
+        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
         if let Some(pool) = pool.as_ref() {
             ctx = ctx.with_pool(pool);
         }
@@ -432,7 +421,7 @@ pub fn parallel_sttsv_serve_pipelined(
     let rank_main = |comm: &Comm| {
         let p = comm.rank();
         let pool = (threads > 1).then(|| Pool::new(threads));
-        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
+        let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
         if let Some(pool) = pool.as_ref() {
             ctx = ctx.with_pool(pool);
         }
@@ -587,7 +576,7 @@ pub fn parallel_sttsv_serve_chaos_with(
         let rank_main = |comm: &Comm| {
             let p = comm.rank();
             let pool = (threads > 1).then(|| Pool::new(threads));
-            let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref()).with_plan();
+            let mut ctx = RankContext::new(tensor, part, p, mode, schedule.as_ref());
             if let Some(pool) = pool.as_ref() {
                 ctx = ctx.with_pool(pool);
             }
@@ -673,7 +662,7 @@ pub fn parallel_sttsv_serve_chaos_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm5::{parallel_sttsv, parallel_sttsv_multi_planned};
+    use crate::algorithm5::{parallel_sttsv, parallel_sttsv_multi};
     use rand::prelude::*;
     use symtensor_core::generate::random_symmetric;
     use symtensor_mpsim::FlightKind;
@@ -711,7 +700,7 @@ mod tests {
         // equivalent multi-planned runs.
         let mut expected_words = 0;
         for chunk in xs.chunks(2) {
-            let multi = parallel_sttsv_multi_planned(&tensor, &part, chunk, Mode::Scheduled, 1);
+            let multi = parallel_sttsv_multi(&tensor, &part, chunk, Mode::Scheduled, 1);
             expected_words += multi.report.total_words_sent();
         }
         assert_eq!(run.report.total_words_sent(), expected_words);

@@ -184,8 +184,7 @@ fn compiled_context_holds_one_copy_of_its_blocks() {
         let packed = tensor.packed();
         let (facts, _) = Universe::new(part.num_procs()).run(|comm| {
             let p = comm.rank();
-            let ctx =
-                RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule)).with_plan();
+            let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
             let plan = ctx.compile(p);
             let mine: Vec<Vec<f64>> = part
                 .r_set(p)

@@ -18,9 +18,9 @@ use symtensor_core::generate::random_symmetric;
 use symtensor_core::seq::sttsv_sym;
 use symtensor_mpsim::{CommEvent, CommEventKind, FaultPlan, InjectedFault, Universe};
 use symtensor_parallel::{
-    parallel_sttsv_multi_overlapped, parallel_sttsv_multi_planned, parallel_sttsv_overlapped,
-    parallel_sttsv_overlapped_traced, parallel_sttsv_planned, parallel_sttsv_planned_traced,
-    CommSchedule, Mode, RankContext, TetraPartition,
+    parallel_sttsv_multi, parallel_sttsv_multi_overlapped, parallel_sttsv_overlapped,
+    parallel_sttsv_overlapped_traced, parallel_sttsv_planned, parallel_sttsv_traced, CommSchedule,
+    Mode, RankContext, TetraPartition,
 };
 use symtensor_steiner::spherical;
 
@@ -105,8 +105,7 @@ proptest! {
         let x: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
         let mode = MODES[mode_idx];
 
-        let (barrier, barrier_traces) =
-            parallel_sttsv_planned_traced(&tensor, &part, &x, mode, 1);
+        let (barrier, barrier_traces, _) = parallel_sttsv_traced(&tensor, &part, &x, mode, 1);
         let (overlapped, overlap_traces) =
             parallel_sttsv_overlapped_traced(&tensor, &part, &x, mode, 1);
         prop_assert_eq!(&overlapped.y, &barrier.y);
@@ -154,7 +153,7 @@ proptest! {
             (0..batch).map(|_| (0..n).map(|_| rng.gen::<f64>() - 0.5).collect()).collect();
         let mode = MODES[mode_idx];
 
-        let barrier = parallel_sttsv_multi_planned(&tensor, &part, &xs, mode, threads);
+        let barrier = parallel_sttsv_multi(&tensor, &part, &xs, mode, threads);
         let overlapped = parallel_sttsv_multi_overlapped(&tensor, &part, &xs, mode, threads);
         prop_assert_eq!(&overlapped.ys, &barrier.ys, "batched overlap must be bit-identical");
         prop_assert_eq!(&overlapped.ternary_per_rank, &barrier.ternary_per_rank);
@@ -188,8 +187,7 @@ fn overlapped_gather_drop_fails_fast_with_exact_accounting() {
     let schedule_ref = &schedule;
     let rank_main = move |comm: &symtensor_mpsim::Comm| {
         let p = comm.rank();
-        let ctx = RankContext::new(tensor_ref, part_ref, p, Mode::Scheduled, Some(schedule_ref))
-            .with_plan();
+        let ctx = RankContext::new(tensor_ref, part_ref, p, Mode::Scheduled, Some(schedule_ref));
         let my_shards: Vec<Vec<f64>> = part_ref
             .r_set(p)
             .iter()

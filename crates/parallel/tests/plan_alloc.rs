@@ -3,17 +3,20 @@
 //! (`load_shards` → pack → unpack → `compute` → `extract_into`) performs
 //! **zero heap allocations**, measured by a counting global allocator.
 //!
+//! The allocator counts only while the calling thread's `MEASURING` flag
+//! is set, and only the test thread sets it, around its measured windows.
+//! Allocations the test harness makes on its own threads meanwhile never
+//! reach the count. That does not weaken the check: all measured work runs
+//! on the test thread, since the plan is driven directly, with no pool.
+//!
 //! The simulated transport's channel nodes are excluded by construction —
 //! this test drives the plan's own state machine directly, standing in for
 //! both exchange phases with length-matched pack/unpack pairs (a
 //! `Gather`-pack produces exactly the words a `Reduce`-unpack consumes and
 //! vice versa), so the measured region contains only algorithm work.
-//!
-//! This file intentionally holds a single `#[test]`: the counting
-//! allocator is process-global, and a lone test per binary keeps the
-//! measured window free of concurrent test-harness allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
@@ -29,9 +32,22 @@ struct CountingAllocator;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // `const`-initialized and drop-free, so reading it from inside the
+    // allocator never allocates or registers a destructor.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if this thread is inside a measured window.
+fn count() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,8 +64,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+/// Runs `f` with this thread's allocations counted; returns its result and
+/// the number of allocations it made.
+fn measured<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.load(Ordering::SeqCst);
+    MEASURING.with(|m| m.set(true));
+    let r = f();
+    MEASURING.with(|m| m.set(false));
+    (r, ALLOCS.load(Ordering::SeqCst) - before)
 }
 
 /// One full iteration's worth of comm-free plan steps on `plan`/`ws`.
@@ -125,17 +147,13 @@ fn steady_state_sttsv_performs_zero_heap_allocations() {
         // peer input, so output *values* evolve by design; bit-stability
         // of the real pipeline is pinned by the plan_equivalence and HOPM
         // tests.)
-        let before = allocs();
-        for _ in 0..3 {
-            let ternary = iteration(&plan, &mut ws, batch, &shards, &mut out);
-            assert_eq!(ternary, warm, "exact ternary count is iteration-invariant");
-        }
-        let after = allocs();
-        assert_eq!(
-            after - before,
-            0,
-            "rank {rank}: steady-state plan steps must not touch the heap"
-        );
+        let ((), allocs) = measured(|| {
+            for _ in 0..3 {
+                let ternary = iteration(&plan, &mut ws, batch, &shards, &mut out);
+                assert_eq!(ternary, warm, "exact ternary count is iteration-invariant");
+            }
+        });
+        assert_eq!(allocs, 0, "rank {rank}: steady-state plan steps must not touch the heap");
         assert_eq!(ws.fresh_allocs(), fresh_after_warmup, "no buffer growth after warm-up");
         assert!(out.iter().flatten().flatten().all(|v| v.is_finite()));
     }
@@ -145,20 +163,20 @@ fn steady_state_sttsv_performs_zero_heap_allocations() {
     // even when the ring wraps and starts evicting. 10 000 records into a
     // 512-slot ring exercise both the fill and the wrap regimes.
     let mut rec = FlightRecorder::new(512);
-    let before = allocs();
-    for i in 0..10_000u64 {
-        rec.record(
-            i * 100,
-            if i % 2 == 0 { FlightKind::Send } else { FlightKind::Recv },
-            Some("gather-x"),
-            Some(i % 7),
-            Some((i % 5) as usize),
-            6,
-            (i % 3 == 0).then_some(i),
-        );
-    }
-    let after = allocs();
-    assert_eq!(after - before, 0, "flight recording must not touch the heap");
+    let ((), allocs) = measured(|| {
+        for i in 0..10_000u64 {
+            rec.record(
+                i * 100,
+                if i % 2 == 0 { FlightKind::Send } else { FlightKind::Recv },
+                Some("gather-x"),
+                Some(i % 7),
+                Some((i % 5) as usize),
+                6,
+                (i % 3 == 0).then_some(i),
+            );
+        }
+    });
+    assert_eq!(allocs, 0, "flight recording must not touch the heap");
     let snap = rec.snapshot(0);
     assert_eq!(snap.events.len(), 512, "the ring retains exactly its capacity");
     assert_eq!(snap.overhead.recorded, 10_000);

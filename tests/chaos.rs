@@ -64,8 +64,7 @@ fn scheduled_run_with_faults(
         .with_faults(plan)
         .try_run_traced(|comm| {
             let p = comm.rank();
-            let ctx =
-                RankContext::new(tensor, part, p, Mode::Scheduled, Some(&schedule)).with_plan();
+            let ctx = RankContext::new(tensor, part, p, Mode::Scheduled, Some(&schedule));
             let shards: Vec<Vec<f64>> = part
                 .r_set(p)
                 .iter()
@@ -132,8 +131,7 @@ fn any_single_dropped_message_fails_the_run() {
         let (_, _, traces, _) = Universe::new(p_count)
             .try_run_traced(|comm| {
                 let p = comm.rank();
-                let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule))
-                    .with_plan();
+                let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
                 let shards: Vec<Vec<f64>> = part
                     .r_set(p)
                     .iter()
@@ -192,8 +190,7 @@ fn injected_fault_sequence_is_seed_deterministic() {
             .with_faults(plan)
             .try_run_traced(|comm| {
                 let p = comm.rank();
-                let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule))
-                    .with_plan();
+                let ctx = RankContext::new(&tensor, &part, p, Mode::Scheduled, Some(&schedule));
                 let shards: Vec<Vec<f64>> = part
                     .r_set(p)
                     .iter()

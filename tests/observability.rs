@@ -18,7 +18,8 @@ fn traced_alg5(q: usize, seed: u64, mode: Mode) -> (SttsvRun, Vec<Vec<CommEvent>
     let mut rng = StdRng::seed_from_u64(seed);
     let tensor = random_symmetric(n, &mut rng);
     let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.013).sin()).collect();
-    parallel_sttsv_traced(&tensor, &part, &x, mode)
+    let (run, traces, _) = parallel_sttsv_traced(&tensor, &part, &x, mode, 1);
+    (run, traces)
 }
 
 /// Property over `q ∈ {2, 3, 4}` (P = 10, 30, 170) and random tensors: the
@@ -93,7 +94,7 @@ fn tracing_on_and_off_yield_identical_cost_reports() {
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).cos()).collect();
         let plain = parallel_sttsv(&tensor, &part, &x, mode);
-        let (traced, traces) = parallel_sttsv_traced(&tensor, &part, &x, mode);
+        let (traced, traces, _) = parallel_sttsv_traced(&tensor, &part, &x, mode, 1);
         assert_eq!(plain.report, traced.report, "tracing must not change costs");
         assert_eq!(plain.y, traced.y, "tracing must not change results");
         assert!(traces.iter().any(|t| !t.is_empty()), "traced run must record events");
@@ -125,25 +126,21 @@ fn phase_totals_partition_run_and_occupancy_meets_step_bound() {
     }
 }
 
-/// The compiled-plan traced driver feeds the same observability pipeline:
-/// its comm matrix reconciles with its `CostReport`, which is itself
-/// identical (per rank, not just in aggregate) to the legacy driver's —
-/// the plan changes *when* words move through memory, never how many cross
-/// the network.
+/// The traced driver feeds the observability pipeline: its comm matrix
+/// reconciles with its `CostReport`, which is itself identical (per rank,
+/// not just in aggregate) to the untraced driver's.
 #[test]
 fn planned_traced_run_reconciles_matrix_and_report() {
-    use symtensor_parallel::parallel_sttsv_planned_traced;
     for q in [2usize, 3] {
         let n = (q * q + 1) * q * (q + 1);
         let part = TetraPartition::new(spherical(q as u64), n).unwrap();
         let mut rng = StdRng::seed_from_u64(77 + q as u64);
         let tensor = random_symmetric(n, &mut rng);
         let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.013).sin()).collect();
-        let (planned, traces) =
-            parallel_sttsv_planned_traced(&tensor, &part, &x, Mode::Scheduled, 1);
-        let legacy = parallel_sttsv(&tensor, &part, &x, Mode::Scheduled);
-        assert_eq!(planned.report, legacy.report, "q = {q}: plan must not change comm costs");
-        assert_eq!(planned.y, legacy.y, "q = {q}: plan must be bit-identical");
+        let (planned, traces, _) = parallel_sttsv_traced(&tensor, &part, &x, Mode::Scheduled, 1);
+        let plain = parallel_sttsv(&tensor, &part, &x, Mode::Scheduled);
+        assert_eq!(planned.report, plain.report, "q = {q}: tracing must not change comm costs");
+        assert_eq!(planned.y, plain.y, "q = {q}: tracing must not change results");
         let obs = RunObservation::new(planned.report.clone(), traces);
         // comm_matrix() panics if the trace marginals disagree with the
         // hot-path counters.

@@ -18,7 +18,7 @@ fn traced_run(q: usize, mode: Mode) -> (Vec<f64>, Vec<Vec<CommEvent>>, usize) {
     let mut rng = StdRng::seed_from_u64(99 + q as u64);
     let tensor = random_symmetric(n, &mut rng);
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
-    let (run, traces) = parallel_sttsv_traced(&tensor, &part, &x, mode);
+    let (run, traces, _) = parallel_sttsv_traced(&tensor, &part, &x, mode, 1);
     (run.y, traces, n)
 }
 
